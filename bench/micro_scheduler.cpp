@@ -14,8 +14,8 @@
 //                 same-time deliveries, a fraction of broadcasts is
 //                 cancelled wholesale before firing (a pruned flood, a
 //                 torn-down segment). Per-event inserts pay k sifts and k
-//                 cancels per broadcast; schedule_batch_at pays one sift
-//                 and one BatchId cancel for the whole run.
+//                 cancels per broadcast; an equal-time schedule_run_at
+//                 pays one sift and one BatchId cancel for the whole run.
 //   timed_run     the transmit-burst pattern: a NIC (or processing
 //                 element) drains a k-frame backlog whose serialization
 //                 completion times are cumulative and known upfront --
@@ -129,16 +129,16 @@ WorkloadResult fire_all(std::size_t count) {
 }
 
 /// The flood fan-out insert pattern on the indexed core itself: per-event
-/// schedule_at loops vs one schedule_batch_at per broadcast, with every
-/// `cancel_every`-th broadcast cancelled wholesale before it fires. Both
-/// sides run the identical event program; only the insert/cancel API
+/// schedule_at loops vs one equal-time schedule_run_at per broadcast, with
+/// every `cancel_every`-th broadcast cancelled wholesale before it fires.
+/// Both sides run the identical event program; only the insert/cancel API
 /// differs, so the ratio isolates what batching buys the hot path.
 template <bool kUseBatch>
 WorkloadResult flood_insert(std::size_t broadcasts, std::size_t fanout,
                             std::size_t cancel_every) {
   netsim::Scheduler sched;
   std::uint64_t fired = 0;
-  std::vector<netsim::Scheduler::Callback> run(fanout);
+  std::vector<netsim::Scheduler::TimedEntry> run(fanout);
   std::vector<netsim::EventId> ids(fanout);
 
   const auto start = std::chrono::steady_clock::now();
@@ -146,8 +146,10 @@ WorkloadResult flood_insert(std::size_t broadcasts, std::size_t fanout,
     const netsim::TimePoint when = sched.now() + netsim::microseconds(5);
     const bool cancel = cancel_every != 0 && b % cancel_every == 0;
     if constexpr (kUseBatch) {
-      for (std::size_t k = 0; k < fanout; ++k) run[k] = DeliveryCapture{&fired};
-      const netsim::BatchId id = sched.schedule_batch_at(when, run);
+      for (std::size_t k = 0; k < fanout; ++k) {
+        run[k] = {when, DeliveryCapture{&fired}};
+      }
+      const netsim::BatchId id = sched.schedule_run_at(run);
       if (cancel) sched.cancel(id);
     } else {
       for (std::size_t k = 0; k < fanout; ++k) {

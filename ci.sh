@@ -49,6 +49,10 @@ cmake --build build-release -j
 # parallel_scaling --smoke runs the sharded star cell at 1/2/4/8 worker
 # threads and exits non-zero if any thread count changes any counter.
 (cd build-release && ./parallel_scaling --smoke && cat BENCH_parallel.json)
+# The repository benchmark's own tests (cellbench/, tiny cells): builds the
+# benchmark from src/ in Release, so a src/ change that breaks the calls it
+# drives fails here.
+python3 cellbench/test_cellbench.py
 # Guards: the batch-insert and timed-run cells exist, the flood profile
 # stays at O(1) delivery events per broadcast per segment, the transmit
 # hops (NIC burst drain, bridge egress TxBatch, fragmented write through

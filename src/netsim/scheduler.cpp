@@ -50,44 +50,6 @@ EventId Scheduler::schedule_after(Duration delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-BatchId Scheduler::schedule_batch_at(TimePoint when, std::span<Callback> entries) {
-  if (entries.empty()) return BatchId{};  // null handle: cancelling is a no-op
-  // Validate everything before admitting anything, so a bad entry cannot
-  // leave a half-scheduled run behind.
-  for (const Callback& fn : entries) {
-    if (!fn) throw std::invalid_argument("Scheduler: null callback in batch");
-  }
-  if (when < now_) when = now_;
-
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.batch = std::make_unique<Batch>();
-  s.batch->entries.reserve(entries.size());
-  for (Callback& fn : entries) s.batch->entries.push_back(std::move(fn));
-
-  // The run is keyed by its FIRST entry's order and occupies all k order
-  // numbers, so interleaving with singles at the same timestamp is exactly
-  // what k individual schedule_at calls would have produced.
-  HeapEntry entry;
-  entry.when = when;
-  entry.order = next_order_;
-  entry.slot = slot;
-  s.batch->first_order = next_order_;
-  next_order_ += entries.size();
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(entry);
-  sift_up(pos, entry);
-  pending_ += entries.size();
-  inserts_ += 1;
-  scheduled_ += entries.size();
-  return BatchId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
-}
-
-BatchId Scheduler::schedule_batch_after(Duration delay, std::span<Callback> entries) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_batch_at(now_ + delay, entries);
-}
-
 BatchId Scheduler::schedule_run_at(std::span<TimedEntry> entries) {
   if (entries.empty()) return BatchId{};  // null handle: cancelling is a no-op
   // Validate everything before admitting anything, so a bad entry cannot
@@ -143,8 +105,8 @@ bool Scheduler::try_extend_run(BatchId id, TimedEntry entry) {
   // into the caller's FIFO fallback.
   if (s.gen != id_gen(id.seq)) return false;
   Batch* b = s.batch.get();
-  if (b == nullptr || b->times.empty()) return false;  // single / same-time batch
-  if (entry.when < b->times.back()) return false;      // would break monotonicity
+  if (b == nullptr) return false;                   // a single event's slot
+  if (entry.when < b->times.back()) return false;  // would break monotonicity
   // From here the append always succeeds. Materialize per-entry orders on
   // the first extension: the new entry is NOT consecutive with the run's
   // original block (arbitrarily many events were admitted in between), so
@@ -257,22 +219,20 @@ bool Scheduler::pop_and_run() {
   if (s.batch != nullptr) {
     // One entry per pop: a run is observably k individual events, so a
     // budget or step() that splits it leaves the remainder pending, in
-    // order, at the heap head (nothing scheduled from here on can sort
-    // earlier than the run's first-order key at this timestamp). The slot
-    // is retired before the LAST entry runs, so a cancel of the run's own
-    // BatchId from inside that entry is already a stale no-op -- from any
-    // earlier entry it drops exactly the remaining ones.
+    // order. The slot is retired before the LAST entry runs, so a cancel
+    // of the run's own BatchId from inside that entry is already a stale
+    // no-op -- from any earlier entry it drops exactly the remaining ones.
     Batch& b = *s.batch;
     fn = std::move(b.entries[b.next]);
     b.next += 1;
     if (b.remaining() == 0) {
       heap_remove(0);
       free_slot(slot);
-    } else if (!b.times.empty()) {
-      // Timed run: re-key the head to the next entry's (time, order) --
-      // the key an individual schedule_at would have given it -- and
-      // re-seat it. The new key is never earlier than the one just fired,
-      // so a sift-down suffices.
+    } else {
+      // Re-key the head to the next entry's (time, order) -- the key an
+      // individual schedule_at would have given it -- and re-seat it. The
+      // new key is never earlier than the one just fired, so a sift-down
+      // suffices.
       HeapEntry head = heap_[0];
       head.when = b.times[b.next];
       head.order = b.order_of(b.next);

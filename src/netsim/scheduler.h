@@ -15,22 +15,19 @@
 //     skip at pop time, no live-set hash lookups on the hot path;
 //   * pending()/empty() are exact by construction (the heap only ever
 //     contains live events);
-//   * schedule_batch_at inserts k same-time events as ONE heap entry -- a
-//     run keyed by its first entry's FIFO order, occupying k order numbers
-//     -- so a flood fan-out pays one sift for the whole run instead of k,
-//     and one BatchId cancel unlinks everything still pending in O(log n).
-//     Observably a run behaves exactly like k individual events: entries
-//     fire one per pop in submission order, each counts against run()
-//     budgets and executed(), and pending() counts every unfired entry;
-//   * schedule_run_at generalizes a run to a MONOTONE TIMED run: k
-//     (time, callback) pairs with non-decreasing times, still one heap
-//     entry and one sift at insert -- the transmit side's burst pattern (a
-//     NIC draining its queue, a processing element pacing a fragment
-//     train) where the k completion times are known upfront. After each
-//     entry fires, the head entry is re-keyed to the next entry's
-//     (time, order) pair -- exactly the key an individual schedule_at would
-//     have given it -- so interleaving with every other event is
-//     bit-identical to k schedule_at calls at those times.
+//   * schedule_run_at inserts a MONOTONE TIMED run -- k (time, callback)
+//     pairs with non-decreasing times -- as ONE heap entry and one sift,
+//     where k schedule_at calls would pay k of each: a flood fan-out, a NIC
+//     draining its queue, a processing element pacing a fragment train. A
+//     same-time fan-out is simply a run whose times are all equal. The run
+//     occupies k consecutive order numbers and, after each entry fires, the
+//     head entry is re-keyed to the next entry's (time, order) pair --
+//     exactly the key an individual schedule_at would have given it -- so
+//     observably a run is k individual events: entries fire one per pop,
+//     each counts against run() budgets and executed(), pending() counts
+//     every unfired entry, and interleaving with every other event is
+//     bit-identical to k schedule_at calls. One BatchId cancel unlinks
+//     everything still pending in O(log n).
 //
 // A cancelled, fired, or never-issued EventId is recognized by its
 // generation stamp, so stale cancels are harmless no-ops (timers race with
@@ -57,8 +54,8 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Handle for cancelling a whole same-time run scheduled with
-/// schedule_batch_at. Encoded like an EventId (slot + generation stamp) but
+/// Handle for cancelling a whole timed run scheduled with
+/// schedule_run_at. Encoded like an EventId (slot + generation stamp) but
 /// deliberately a distinct type: a run is cancelled wholesale, never entry
 /// by entry, and the stamp goes stale the moment the run's last entry fires
 /// or the run is cancelled.
@@ -83,21 +80,6 @@ class Scheduler {
   /// Schedules `fn` after a delay relative to now().
   EventId schedule_after(Duration delay, Callback fn);
 
-  /// Schedules every callback of `entries` (moved from) at absolute time
-  /// `when` (clamped to now()) as one same-time run: a single heap entry, a
-  /// single sift, one slot -- where k schedule_at calls would pay k of
-  /// each. The run occupies k consecutive order numbers, so FIFO within the
-  /// timestamp is exactly what k individual schedule_at calls would have
-  /// produced, and entries fire one per pop: run(max_events), run_until and
-  /// step() treat a partially executed run as its remaining individual
-  /// events (nothing is dropped or reordered by a budget that splits a
-  /// run). An empty span returns the null BatchId (cancelling it is a
-  /// no-op); a null callback anywhere throws before any entry is admitted.
-  BatchId schedule_batch_at(TimePoint when, std::span<Callback> entries);
-
-  /// schedule_batch_at(now() + delay, entries).
-  BatchId schedule_batch_after(Duration delay, std::span<Callback> entries);
-
   /// One entry of a monotone timed run: an absolute firing time plus its
   /// callback. Produced by the transmit paths (NIC burst drain, TxBatch,
   /// ProcessingElement::submit_burst) whose completion times are computed
@@ -119,7 +101,7 @@ class Scheduler {
   /// returns the null BatchId; a null callback anywhere throws.
   BatchId schedule_run_at(std::span<TimedEntry> entries);
 
-  /// Appends `entry` to a still-pending TIMED run -- the saturated-
+  /// Appends `entry` to a still-pending run -- the saturated-
   /// transmitter case where a frame arrives while a burst is in flight and
   /// its completion time lands past the run's tail, so the run can absorb
   /// it with NO new heap insert. The appended entry gets a fresh order
@@ -127,8 +109,8 @@ class Scheduler {
   /// interleaving with other same-time events is exactly what an
   /// individual schedule_at at that moment would have produced. Returns
   /// false with no side effects when the handle is stale (run finished or
-  /// cancelled), names a same-time batch or a single event, or
-  /// `entry.when` precedes the run's last time. A null callback throws.
+  /// cancelled) or `entry.when` precedes the run's last time. A null
+  /// callback throws.
   bool try_extend_run(BatchId id, TimedEntry entry);
 
   /// Cancels a pending event in place. Cancelling an already-fired or
@@ -163,15 +145,15 @@ class Scheduler {
   [[nodiscard]] TimePoint peek_next_time() const {
     return heap_.empty() ? TimePoint::max() : heap_.front().when;
   }
-  /// Exact count of unfired events; every unfired entry of a batch run
-  /// counts individually (a run is k events, not one).
+  /// Exact count of unfired events; every unfired entry of a run counts
+  /// individually (a run is k events, not one).
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
-  /// Heap insert operations performed: one per schedule_at, one per
-  /// batch/run no matter how many entries it carries. scheduled() vs
+  /// Heap insert operations performed: one per schedule_at, one per run
+  /// no matter how many entries it carries. scheduled() vs
   /// inserts() is the batching ratio the transmit-path benches guard.
   [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
-  /// Entries admitted in total (a batch/run of k counts k) -- what
+  /// Entries admitted in total (a run of k counts k) -- what
   /// inserts() would be if every entry were its own schedule_at call.
   [[nodiscard]] std::uint64_t scheduled() const { return scheduled_; }
 
@@ -194,17 +176,14 @@ class Scheduler {
     }
   };
 
-  /// A run: the entries of one schedule_batch_at / schedule_run_at call,
-  /// fired front to back. `next` is the cursor of a partially executed
-  /// run. A same-time run (`times` empty) stays at the heap head between
-  /// its entries -- nothing scheduled after it can sort earlier than its
-  /// first-order key at that timestamp. A timed run carries the per-entry
-  /// firing times; after each pop the heap entry is re-keyed to
-  /// (times[next], first_order + next) and re-seated, which is exactly the
-  /// key entry `next` would have had as an individual schedule_at call.
+  /// A run: the entries of one schedule_run_at call (plus any
+  /// try_extend_run appends), fired front to back. `next` is the cursor of
+  /// a partially executed run; after each pop the heap entry is re-keyed to
+  /// (times[next], order_of(next)) and re-seated, which is exactly the key
+  /// entry `next` would have had as an individual schedule_at call.
   struct Batch {
     std::vector<Callback> entries;
-    std::vector<TimePoint> times;  ///< empty: same-time run at the heap key
+    std::vector<TimePoint> times;  ///< per-entry firing times, non-decreasing
     std::uint64_t first_order = 0;
     std::size_t next = 0;
     /// Per-entry order numbers; empty until the first try_extend_run
@@ -254,7 +233,7 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::uint64_t inserts_ = 0;    ///< heap insert ops (a run of k counts 1)
   std::uint64_t scheduled_ = 0;  ///< entries admitted (a run of k counts k)
-  std::size_t pending_ = 0;  ///< unfired events (batch entries counted each)
+  std::size_t pending_ = 0;  ///< unfired events (run entries counted each)
 };
 
 }  // namespace ab::netsim

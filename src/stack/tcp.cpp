@@ -404,7 +404,8 @@ void TcpSocket::on_rto() {
       if (cwnd_trace_ != nullptr) cwnd_trace_->push_back(cwnd_);
     }
     dup_acks_ = 0;
-    fast_recovery_ = false;
+    recovering_ = true;
+    recover_ = snd_nxt_;
   }
   retransmit_front(/*from_rto=*/true);
   rto_ = std::min(rto_ * 2, config_.rto_max);  // exponential backoff
@@ -601,7 +602,8 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
     snd_una_ = ack;
     retries_ = 0;
     dup_acks_ = 0;
-    fast_recovery_ = false;
+    const bool partial_ack = recovering_ && seq_lt(ack, recover_);
+    recovering_ = partial_ack;
     release_acked(ack);
     if (acked > 0) on_new_ack(acked);
     if (snd_una_ == snd_nxt_) {
@@ -609,6 +611,7 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
     } else {
       arm_rto();  // RFC 6298 5.3: restart on new data acked
     }
+    if (partial_ack) retransmit_front(/*from_rto=*/false);
     switch (state_) {
       case TcpState::kSynReceived:
         enter_established();
@@ -633,7 +636,7 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
   if (ack == snd_una_ && segment.seq_len() == 0 && seq_lt(snd_una_, snd_nxt_)) {
     stats_.dup_acks_received += 1;
     dup_acks_ += 1;
-    if (dup_acks_ == 3 && !fast_recovery_) {
+    if (dup_acks_ == 3 && !recovering_) {
       ssthresh_ = std::max<std::uint32_t>(
           static_cast<std::uint32_t>(bytes_in_flight() / 2),
           static_cast<std::uint32_t>(2 * config_.mss));
@@ -643,7 +646,8 @@ void TcpSocket::process_ack(const TcpSegment& segment) {
         cwnd_ = ssthresh_;
         if (cwnd_trace_ != nullptr) cwnd_trace_->push_back(cwnd_);
       }
-      fast_recovery_ = true;
+      recovering_ = true;
+      recover_ = snd_nxt_;
       arm_rto();  // the retransmission gets a fresh timeout
     }
   }

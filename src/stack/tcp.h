@@ -3,7 +3,8 @@
 // shape the figures: three-way handshake and teardown (RFC 793 state
 // machine, simultaneous close included), cumulative acks, retransmission
 // with an RFC 6298 RTO (SRTT/RTTVAR, exponential backoff, Karn's rule),
-// fast retransmit on three duplicate acks, and slow start + AIMD congestion
+// fast retransmit on three duplicate acks, partial-ack retransmission of
+// every hole in a lost flight (RFC 6582), and slow start + AIMD congestion
 // avoidance (RFC 5681). With it, ttcp saturation shows up as congestion
 // behavior -- backoff, retransmits, a cwnd trajectory -- instead of raw
 // datagram loss.
@@ -154,7 +155,9 @@ struct TcpStats {
   std::uint64_t bytes_received = 0;      ///< in-order payload delivered to the app
   std::uint64_t retransmits = 0;         ///< rto_retransmits + fast_retransmits
   std::uint64_t rto_retransmits = 0;     ///< segments resent by the RTO timer
-  std::uint64_t fast_retransmits = 0;    ///< segments resent by three dup-acks
+  /// Segments resent on an ack signal rather than the timer: the third
+  /// dup-ack, or a partial ack during loss recovery.
+  std::uint64_t fast_retransmits = 0;
   std::uint64_t dup_acks_received = 0;
   std::uint64_t dup_acks_sent = 0;
   std::uint64_t out_of_order_segments = 0;  ///< queued above rcv_nxt
@@ -309,9 +312,14 @@ class TcpSocket {
   std::uint32_t cwnd_ = 0;
   std::uint32_t ssthresh_ = 0;
   std::uint32_t dup_acks_ = 0;
-  /// Set by fast retransmit, cleared when snd_una_ advances: further
-  /// dup-ack bursts for the same hole must not retransmit again.
-  bool fast_recovery_ = false;
+  /// Loss recovery (after an RTO or a fast retransmit) lasts until snd_una_
+  /// reaches recover_, the snd_nxt_ when it began. Dup-acks inside it never
+  /// fast-retransmit again. An ack that advances snd_una_ but stays below
+  /// recover_ -- a partial ack (RFC 6582) -- exposes the next hole of the
+  /// same lost flight, which is resent at once instead of after another
+  /// backed-off RTO.
+  bool recovering_ = false;
+  std::uint32_t recover_ = 0;
 
   // RFC 6298 retransmission timer.
   netsim::Duration srtt_{};

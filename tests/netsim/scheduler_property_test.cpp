@@ -1,16 +1,17 @@
 // Determinism property test for the scheduler rewrite: seeded random
-// programs of interleaved schedule_at / schedule_after / schedule_batch /
-// schedule_run (monotone timed runs) / cancel (single ids and whole
-// BatchId runs) / run_until / step / run are executed against both cores
-// -- the indexed 4-ary heap (Scheduler) and the PR 1 priority_queue +
-// live-set core (BaselineScheduler), whose observable contract is the
-// oracle. The baseline has no batch or run API, which is the point: a
-// same-time run is DEFINED as k individual same-time events and a timed
-// run as k individual events at its k times, so the oracle schedules k
-// events and cancels k ids where the indexed core takes one insert and one
-// BatchId cancel. Firing order, the clock after every op, and pending()
-// after every op must be identical, including events scheduled from inside
-// callbacks, budgets that split a run, and cancels of already-fired ids.
+// programs of interleaved schedule_at / schedule_after / schedule_run_at
+// (monotone timed runs, equal-time ones included) / try_extend_run /
+// cancel (single ids and whole BatchId runs) / run_until / step / run are
+// executed against both cores -- the indexed 4-ary heap (Scheduler) and
+// the original priority_queue + live-set core (BaselineScheduler), whose
+// observable contract is the oracle. The baseline has no run API, which is
+// the point: a timed run is DEFINED as k individual events at its k times
+// and an extension as one schedule_at at the moment of extension, so the
+// oracle schedules k events and cancels k ids where the indexed core takes
+// one insert and one BatchId cancel. Firing order, the clock after every
+// op, pending() after every op, and which extensions were accepted must be
+// identical, including events scheduled from inside callbacks, budgets
+// that split a run, and cancels of already-fired ids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +29,8 @@ namespace {
 struct Op {
   enum Kind {
     kSchedule,
-    kScheduleBatch,
     kScheduleRun,  ///< monotone timed run (schedule_run_at)
+    kExtendRun,    ///< try_extend_run on an issued run handle
     kCancel,
     kCancelBatch,
     kRunUntil,
@@ -37,16 +38,16 @@ struct Op {
     kRunBudget
   };
   Kind kind = kSchedule;
-  std::int64_t delay_us = 0;   ///< kSchedule/kScheduleBatch: delay (may be
-                               ///< negative); kRunUntil: window
+  std::int64_t delay_us = 0;   ///< kSchedule: delay (may be negative);
+                               ///< kExtendRun: appended entry's delay;
+                               ///< kRunUntil: window
   bool spawn_child = false;    ///< kSchedule: callback schedules a child event
   std::int64_t child_delay_us = 0;
-  std::size_t batch_size = 0;  ///< kScheduleBatch/kScheduleRun: entries (0
-                               ///< exercises the no-op)
   std::vector<std::int64_t> run_delays_us;  ///< kScheduleRun: sorted delays
-                                            ///< (may start negative)
-  std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch: index into issued
-                               ///< handles (mod size)
+                                            ///< (may start negative; empty
+                                            ///< exercises the no-op)
+  std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch/kExtendRun: index
+                               ///< into issued handles (mod size)
   std::size_t budget = 0;      ///< kRunBudget: max events
 };
 
@@ -64,21 +65,26 @@ std::vector<Op> generate_program(std::uint64_t seed, int length) {
       op.spawn_child = rng.chance(0.3);
       op.child_delay_us = static_cast<std::int64_t>(rng.uniform(0, 500));
     } else if (roll < 45) {
-      op.kind = Op::kScheduleBatch;
-      op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
-      op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
+      // Equal-time run: a same-time fan-out.
+      op.kind = Op::kScheduleRun;
+      const auto delay = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
+      op.run_delays_us.assign(static_cast<std::size_t>(rng.uniform(0, 5)), delay);
     } else if (roll < 50) {
       op.kind = Op::kScheduleRun;
-      op.batch_size = static_cast<std::size_t>(rng.uniform(0, 5));
-      for (std::size_t e = 0; e < op.batch_size; ++e) {
+      const auto size = static_cast<std::size_t>(rng.uniform(0, 5));
+      for (std::size_t e = 0; e < size; ++e) {
         op.run_delays_us.push_back(static_cast<std::int64_t>(rng.uniform(0, 2100)) -
                                    100);
       }
       // The API takes non-decreasing times; sorting keeps random draws
       // valid while exercising equal-time pairs.
       std::sort(op.run_delays_us.begin(), op.run_delays_us.end());
-    } else if (roll < 65) {
+    } else if (roll < 58) {
       op.kind = Op::kCancel;
+      op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
+    } else if (roll < 65) {
+      op.kind = Op::kExtendRun;
+      op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100));
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
     } else if (roll < 73) {
       op.kind = Op::kCancelBatch;
@@ -102,31 +108,16 @@ struct Observation {
   std::vector<int> fired;              ///< event labels in firing order
   std::vector<std::int64_t> clock_ns;  ///< now() after every op
   std::vector<std::size_t> pending;    ///< pending() after every op
+  std::vector<bool> extended;          ///< outcome of every kExtendRun
   bool empty_at_end = false;
   std::uint64_t executed = 0;
 };
 
-/// Batch adapter for the indexed core: the real schedule_batch_at /
-/// BatchId-cancel API.
-struct IndexedBatchOps {
+/// Run adapter for the indexed core: the real schedule_run_at /
+/// try_extend_run / BatchId-cancel API.
+struct IndexedRunOps {
   std::vector<BatchId> handles;
 
-  void schedule(Scheduler& sched, Observation& obs, Duration delay, int first_label,
-                std::size_t count) {
-    std::vector<Scheduler::Callback> fns;
-    for (std::size_t i = 0; i < count; ++i) {
-      const int label = first_label + static_cast<int>(i);
-      fns.emplace_back([&obs, label] { obs.fired.push_back(label); });
-    }
-    handles.push_back(sched.schedule_batch_after(delay, fns));
-  }
-
-  void cancel(Scheduler& sched, std::size_t sel) {
-    if (!handles.empty()) sched.cancel(handles[sel % handles.size()]);
-  }
-
-  /// Timed-run adapter: one schedule_run_at; the handle joins the same
-  /// pool BatchId cancels draw from.
   void schedule_run(Scheduler& sched, Observation& obs,
                     const std::vector<std::int64_t>& delays_us, int first_label) {
     std::vector<Scheduler::TimedEntry> entries;
@@ -139,42 +130,73 @@ struct IndexedBatchOps {
     }
     handles.push_back(sched.schedule_run_at(entries));
   }
+
+  bool extend(Scheduler& sched, Observation& obs, std::size_t sel,
+              std::int64_t delay_us, int label) {
+    if (handles.empty()) return false;
+    return sched.try_extend_run(handles[sel % handles.size()],
+                                {sched.now() + microseconds(delay_us),
+                                 [&obs, label] { obs.fired.push_back(label); }});
+  }
+
+  void cancel(Scheduler& sched, std::size_t sel) {
+    if (!handles.empty()) sched.cancel(handles[sel % handles.size()]);
+  }
 };
 
-/// Batch adapter for the baseline oracle, which has no batch API: a run IS
-/// k individual events by definition, so schedule k events and cancel all
-/// their ids -- the semantic contract the indexed core must match.
-struct BaselineBatchOps {
-  std::vector<std::vector<BaselineEventId>> handles;
-
-  void schedule(BaselineScheduler& sched, Observation& obs, Duration delay,
-                int first_label, std::size_t count) {
+/// Run adapter for the baseline oracle, which has no run API: a run IS k
+/// individual events at its k times (negative delays clamp exactly like
+/// the run's per-entry clamp), cancelled together as one group. An
+/// extension IS one schedule_at at the moment of extension, accepted while
+/// the run still has an unfired, uncancelled entry and the new time is not
+/// before the run's last (clamped) time.
+struct BaselineRunOps {
+  struct Group {
     std::vector<BaselineEventId> ids;
-    for (std::size_t i = 0; i < count; ++i) {
-      const int label = first_label + static_cast<int>(i);
-      ids.push_back(sched.schedule_after(
-          delay, [&obs, label] { obs.fired.push_back(label); }));
+    std::size_t fired = 0;
+    bool cancelled = false;
+    TimePoint tail{};
+  };
+  std::vector<Group> groups;
+
+  /// Schedules one entry of group `g` at `when`.
+  void add(BaselineScheduler& sched, Observation& obs, std::size_t g, TimePoint when,
+           int label) {
+    groups[g].tail = std::max(when, sched.now());
+    groups[g].ids.push_back(sched.schedule_at(when, [this, &obs, g, label] {
+      obs.fired.push_back(label);
+      groups[g].fired += 1;
+    }));
+  }
+
+  void schedule_run(BaselineScheduler& sched, Observation& obs,
+                    const std::vector<std::int64_t>& delays_us, int first_label) {
+    const std::size_t g = groups.size();
+    groups.emplace_back();
+    for (std::size_t i = 0; i < delays_us.size(); ++i) {
+      add(sched, obs, g, sched.now() + microseconds(delays_us[i]),
+          first_label + static_cast<int>(i));
     }
-    handles.push_back(std::move(ids));
+  }
+
+  bool extend(BaselineScheduler& sched, Observation& obs, std::size_t sel,
+              std::int64_t delay_us, int label) {
+    if (groups.empty()) return false;
+    const std::size_t g = sel % groups.size();
+    const TimePoint when = sched.now() + microseconds(delay_us);
+    Group& group = groups[g];
+    if (group.cancelled || group.fired == group.ids.size() || when < group.tail) {
+      return false;
+    }
+    add(sched, obs, g, when, label);
+    return true;
   }
 
   void cancel(BaselineScheduler& sched, std::size_t sel) {
-    if (handles.empty()) return;
-    for (const BaselineEventId id : handles[sel % handles.size()]) sched.cancel(id);
-  }
-
-  /// Timed-run oracle: a run IS k individual events at its k times, so
-  /// schedule k events (negative delays clamp exactly like the run's
-  /// per-entry clamp) and cancel all their ids as one group.
-  void schedule_run(BaselineScheduler& sched, Observation& obs,
-                    const std::vector<std::int64_t>& delays_us, int first_label) {
-    std::vector<BaselineEventId> ids;
-    for (std::size_t i = 0; i < delays_us.size(); ++i) {
-      const int label = first_label + static_cast<int>(i);
-      ids.push_back(sched.schedule_after(
-          microseconds(delays_us[i]), [&obs, label] { obs.fired.push_back(label); }));
-    }
-    handles.push_back(std::move(ids));
+    if (groups.empty()) return;
+    Group& group = groups[sel % groups.size()];
+    for (const BaselineEventId id : group.ids) sched.cancel(id);
+    group.cancelled = true;
   }
 };
 
@@ -184,9 +206,9 @@ Observation execute(const std::vector<Op>& ops) {
   SchedulerT sched;
   Observation obs;
   std::vector<Id> ids;
-  std::conditional_t<std::is_same_v<SchedulerT, Scheduler>, IndexedBatchOps,
-                     BaselineBatchOps>
-      batches;
+  std::conditional_t<std::is_same_v<SchedulerT, Scheduler>, IndexedRunOps,
+                     BaselineRunOps>
+      runs;
 
   int label = 0;
   for (const Op& op : ops) {
@@ -211,24 +233,21 @@ Observation execute(const std::vector<Op>& ops) {
         }
         break;
       }
-      case Op::kScheduleBatch: {
-        const int first_label = label;
-        label += static_cast<int>(op.batch_size);
-        batches.schedule(sched, obs, microseconds(op.delay_us), first_label,
-                         op.batch_size);
-        break;
-      }
       case Op::kScheduleRun: {
         const int first_label = label;
         label += static_cast<int>(op.run_delays_us.size());
-        batches.schedule_run(sched, obs, op.run_delays_us, first_label);
+        runs.schedule_run(sched, obs, op.run_delays_us, first_label);
         break;
       }
+      case Op::kExtendRun:
+        obs.extended.push_back(
+            runs.extend(sched, obs, op.cancel_sel, op.delay_us, label++));
+        break;
       case Op::kCancel:
         if (!ids.empty()) sched.cancel(ids[op.cancel_sel % ids.size()]);
         break;
       case Op::kCancelBatch:
-        batches.cancel(sched, op.cancel_sel);
+        runs.cancel(sched, op.cancel_sel);
         break;
       case Op::kRunUntil:
         sched.run_until(sched.now() + microseconds(op.delay_us));
@@ -259,6 +278,7 @@ TEST_P(SchedulerEquivalence, RandomProgramsFireIdenticallyOnBothCores) {
   EXPECT_EQ(baseline.fired, indexed.fired) << "seed " << GetParam();
   EXPECT_EQ(baseline.clock_ns, indexed.clock_ns) << "seed " << GetParam();
   EXPECT_EQ(baseline.pending, indexed.pending) << "seed " << GetParam();
+  EXPECT_EQ(baseline.extended, indexed.extended) << "seed " << GetParam();
   EXPECT_EQ(baseline.executed, indexed.executed) << "seed " << GetParam();
   EXPECT_TRUE(baseline.empty_at_end);
   EXPECT_TRUE(indexed.empty_at_end);
@@ -303,7 +323,7 @@ TEST(SchedulerEquivalenceFifo, EqualTimestampsKeepSubmissionOrderUnderCancellati
   EXPECT_EQ(indexed, survivors);
 }
 
-// Batched runs mixed with singles on ONE timestamp, some runs cancelled
+// Equal-time runs mixed with singles on ONE timestamp, some runs cancelled
 // wholesale: the surviving labels must fire in exact submission order on
 // both cores (the run occupying its k order numbers in the FIFO).
 TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
@@ -330,7 +350,7 @@ TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
     }
   }
 
-  // Indexed core: real batches.
+  // Indexed core: real equal-time runs.
   std::vector<int> indexed_fired;
   {
     Scheduler sched;
@@ -345,14 +365,13 @@ TEST(SchedulerEquivalenceFifo, BatchRunsKeepSubmissionOrderAmongSingles) {
             milliseconds(5),
             [&indexed_fired, this_label] { indexed_fired.push_back(this_label); });
       } else {
-        std::vector<Scheduler::Callback> fns;
-        for (std::size_t i = 0; i < k; ++i) {
+        std::vector<Scheduler::TimedEntry> entries(k);
+        for (Scheduler::TimedEntry& e : entries) {
           const int this_label = label++;
-          fns.emplace_back(
-              [&indexed_fired, this_label] { indexed_fired.push_back(this_label); });
+          e.when = sched.now() + milliseconds(5);
+          e.fn = [&indexed_fired, this_label] { indexed_fired.push_back(this_label); };
         }
-        batch_ids[static_cast<std::size_t>(g)] =
-            sched.schedule_batch_after(milliseconds(5), fns);
+        batch_ids[static_cast<std::size_t>(g)] = sched.schedule_run_at(entries);
       }
     }
     for (int g = 0; g < kGroups; ++g) {

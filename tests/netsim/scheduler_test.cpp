@@ -273,17 +273,19 @@ TEST(Scheduler, ExecutedCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched same-time runs (schedule_batch_at / BatchId)
+// Equal-time runs: schedule_run_at with every entry at one timestamp, the
+// shape a same-time fan-out takes.
 
 namespace {
 
-/// Builds a run of callbacks that append their label to `order`.
-std::vector<Scheduler::Callback> labelled_batch(std::vector<int>& order, int first,
-                                                int count) {
-  std::vector<Scheduler::Callback> fns;
+/// Builds an equal-time run of callbacks, due at `when`, that append their
+/// label to `order`.
+std::vector<Scheduler::TimedEntry> labelled_batch(std::vector<int>& order, int first,
+                                                  int count, TimePoint when) {
+  std::vector<Scheduler::TimedEntry> fns;
   for (int i = 0; i < count; ++i) {
     const int label = first + i;
-    fns.emplace_back([&order, label] { order.push_back(label); });
+    fns.push_back({when, [&order, label] { order.push_back(label); }});
   }
   return fns;
 }
@@ -293,8 +295,8 @@ std::vector<Scheduler::Callback> labelled_batch(std::vector<int>& order, int fir
 TEST(SchedulerBatch, FiresEntriesInSubmissionOrderAtTheTimestamp) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 5);
-  s.schedule_batch_at(TimePoint{} + milliseconds(3), fns);
+  auto fns = labelled_batch(order, 0, 5, TimePoint{} + milliseconds(3));
+  s.schedule_run_at(fns);
   EXPECT_EQ(s.pending(), 5u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -303,36 +305,43 @@ TEST(SchedulerBatch, FiresEntriesInSubmissionOrderAtTheTimestamp) {
 }
 
 TEST(SchedulerBatch, InterleavesFifoWithSinglesAtTheSameTimestamp) {
-  // single, batch, single at one timestamp: firing order must be exactly
+  // single, run, single at one timestamp: firing order must be exactly
   // the submission order, the run occupying its k order numbers.
   Scheduler s;
   std::vector<int> order;
   const TimePoint when = TimePoint{} + milliseconds(1);
   s.schedule_at(when, [&order] { order.push_back(0); });
-  auto fns = labelled_batch(order, 1, 3);
-  s.schedule_batch_at(when, fns);
+  auto fns = labelled_batch(order, 1, 3, when);
+  s.schedule_run_at(fns);
   s.schedule_at(when, [&order] { order.push_back(4); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(SchedulerBatch, EmptyBatchIsANoOp) {
+  // An empty run between two singles at one timestamp admits nothing and
+  // consumes no order number or insert.
   Scheduler s;
-  std::vector<Scheduler::Callback> none;
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), none);
+  std::vector<int> order;
+  const TimePoint when = TimePoint{} + milliseconds(1);
+  s.schedule_at(when, [&order] { order.push_back(0); });
+  auto none = labelled_batch(order, 9, 0, when);
+  const BatchId id = s.schedule_run_at(none);
+  s.schedule_at(when, [&order] { order.push_back(1); });
   EXPECT_EQ(id, BatchId{});
-  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.inserts(), 2u);
+  EXPECT_EQ(s.scheduled(), 2u);
   s.cancel(id);  // null handle: harmless
-  EXPECT_EQ(s.run(), 0u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 TEST(SchedulerBatch, NullCallbackInBatchThrowsBeforeAdmittingAnything) {
   Scheduler s;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([] {});
-  fns.emplace_back(std::function<void()>{});  // null
-  EXPECT_THROW(s.schedule_batch_at(TimePoint{} + milliseconds(1), fns),
-               std::invalid_argument);
+  std::vector<int> order;
+  auto fns = labelled_batch(order, 0, 2, TimePoint{} + milliseconds(1));
+  fns[1].fn = nullptr;
+  EXPECT_THROW(s.schedule_run_at(fns), std::invalid_argument);
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -340,8 +349,8 @@ TEST(SchedulerBatch, NullCallbackInBatchThrowsBeforeAdmittingAnything) {
 TEST(SchedulerBatch, CancelRemovesTheWholeRun) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 4);
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto fns = labelled_batch(order, 0, 4, TimePoint{} + milliseconds(1));
+  const BatchId id = s.schedule_run_at(fns);
   s.schedule_at(TimePoint{} + milliseconds(2), [&order] { order.push_back(99); });
   EXPECT_EQ(s.pending(), 5u);
   s.cancel(id);
@@ -353,8 +362,8 @@ TEST(SchedulerBatch, CancelRemovesTheWholeRun) {
 TEST(SchedulerBatch, CancelAfterTheRunFiredIsHarmless) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto fns = labelled_batch(order, 0, 2, TimePoint{} + milliseconds(1));
+  const BatchId id = s.schedule_run_at(fns);
   s.run();
   s.cancel(id);  // stale: the run completed
   EXPECT_TRUE(s.empty());
@@ -369,14 +378,14 @@ TEST(SchedulerBatch, CancelAfterTheRunFiredIsHarmless) {
 }
 
 TEST(SchedulerBatch, StaleEventIdCannotKillARunInTheRecycledSlot) {
-  // An EventId whose slot was recycled into a batch run must stay a no-op:
+  // An EventId whose slot was recycled into a run must stay a no-op:
   // the generation stamp (and the run guard) protect all k entries.
   Scheduler s;
   std::vector<int> order;
   const EventId a = s.schedule_after(milliseconds(1), [&order] { order.push_back(-1); });
   s.cancel(a);
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);  // may reuse a's slot
+  auto fns = labelled_batch(order, 0, 3, TimePoint{} + milliseconds(1));
+  s.schedule_run_at(fns);  // may reuse a's slot
   s.cancel(a);  // stale
   EXPECT_EQ(s.pending(), 3u);
   s.run();
@@ -384,12 +393,12 @@ TEST(SchedulerBatch, StaleEventIdCannotKillARunInTheRecycledSlot) {
 }
 
 TEST(SchedulerBatch, RunBudgetSplitsARunWithoutDroppingOrReordering) {
-  // run(max_events) counts batch entries individually; a budget expiring
+  // run(max_events) counts run entries individually; a budget expiring
   // mid-run leaves the remainder pending, in order.
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto fns = labelled_batch(order, 0, 3, TimePoint{} + milliseconds(1));
+  s.schedule_run_at(fns);
   s.schedule_at(TimePoint{} + milliseconds(1), [&order] { order.push_back(3); });
 
   EXPECT_EQ(s.run(2), 2u);
@@ -406,8 +415,8 @@ TEST(SchedulerBatch, RunBudgetSplitsARunWithoutDroppingOrReordering) {
 TEST(SchedulerBatch, StepExecutesOneEntryAtATime) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  auto fns = labelled_batch(order, 0, 3, TimePoint{} + milliseconds(1));
+  s.schedule_run_at(fns);
   EXPECT_TRUE(s.step());
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(s.pending(), 2u);
@@ -420,8 +429,8 @@ TEST(SchedulerBatch, StepExecutesOneEntryAtATime) {
 TEST(SchedulerBatch, RunUntilAtTheBoundaryDrainsTheWholeRun) {
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 3);
-  s.schedule_batch_at(TimePoint{} + milliseconds(10), fns);
+  auto fns = labelled_batch(order, 0, 3, TimePoint{} + milliseconds(10));
+  s.schedule_run_at(fns);
   EXPECT_EQ(s.run_until(TimePoint{} + milliseconds(5)), 0u);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(s.pending(), 3u);
@@ -435,8 +444,8 @@ TEST(SchedulerBatch, RunUntilAfterAPartialBudgetKeepsTheRemainder) {
   // stepping limits must not drop or reorder a split run).
   Scheduler s;
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 4);
-  s.schedule_batch_at(TimePoint{} + milliseconds(2), fns);
+  auto fns = labelled_batch(order, 0, 4, TimePoint{} + milliseconds(2));
+  s.schedule_run_at(fns);
   EXPECT_EQ(s.run(1), 1u);
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(s.run_until(TimePoint{} + milliseconds(2)), 3u);
@@ -448,15 +457,12 @@ TEST(SchedulerBatch, CancelMidExecutionDropsOnlyTheRemainingEntries) {
   Scheduler s;
   std::vector<int> order;
   BatchId id{};
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order] { order.push_back(0); });
-  fns.emplace_back([&order, &s, &id] {
+  auto fns = labelled_batch(order, 0, 4, TimePoint{} + milliseconds(1));
+  fns[1].fn = [&order, &s, &id] {
     order.push_back(1);
     s.cancel(id);  // from inside entry 1: entries 2 and 3 must not fire
-  });
-  fns.emplace_back([&order] { order.push_back(2); });
-  fns.emplace_back([&order] { order.push_back(3); });
-  id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  };
+  id = s.schedule_run_at(fns);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_TRUE(s.empty());
@@ -467,12 +473,12 @@ TEST(SchedulerBatch, CancelInsideTheLastEntryIsAStaleNoOp) {
   Scheduler s;
   int fired = 0;
   BatchId id{};
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&fired, &s, &id] {
-    ++fired;
-    s.cancel(id);  // the run is already retired: harmless
-  });
-  id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  std::vector<Scheduler::TimedEntry> fns;
+  fns.push_back({TimePoint{} + milliseconds(1), [&fired, &s, &id] {
+                   ++fired;
+                   s.cancel(id);  // the run is already retired: harmless
+                 }});
+  id = s.schedule_run_at(fns);
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.empty());
@@ -484,14 +490,12 @@ TEST(SchedulerBatch, EventsScheduledInsideAnEntryFireAfterTheRun) {
   // with k individual events.
   Scheduler s;
   std::vector<int> order;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order, &s] {
+  auto fns = labelled_batch(order, 0, 3, TimePoint{} + milliseconds(1));
+  fns[0].fn = [&order, &s] {
     order.push_back(0);
     s.schedule_after(Duration::zero(), [&order] { order.push_back(9); });
-  });
-  fns.emplace_back([&order] { order.push_back(1); });
-  fns.emplace_back([&order] { order.push_back(2); });
-  s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
+  };
+  s.schedule_run_at(fns);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
 }
@@ -501,23 +505,11 @@ TEST(SchedulerBatch, PastBatchTimeClampsToNow) {
   s.schedule_after(seconds(1), [] {});
   s.run();
   std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  s.schedule_batch_at(TimePoint{}, fns);  // in the past
+  auto fns = labelled_batch(order, 0, 2, TimePoint{});  // in the past
+  s.schedule_run_at(fns);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(s.now().time_since_epoch(), seconds(1));
-}
-
-TEST(SchedulerBatch, ScheduleBatchAfterIsRelative) {
-  Scheduler s;
-  s.schedule_after(milliseconds(5), [] {});
-  s.run();
-  std::vector<int> order;
-  auto fns = labelled_batch(order, 0, 2);
-  s.schedule_batch_after(milliseconds(5), fns);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(s.now().time_since_epoch(), milliseconds(10));
 }
 
 /// Builds a timed run of labelled callbacks at the given millisecond
@@ -698,10 +690,9 @@ TEST(SchedulerBatch, ManyRunsInterleavedWithCancelsKeepPendingExact) {
   std::vector<BatchId> ids;
   int label = 0;
   for (int b = 0; b < 50; ++b) {
-    auto fns = labelled_batch(order, label, 4);
+    auto fns = labelled_batch(order, label, 4, TimePoint{} + milliseconds(1 + b % 3));
     label += 4;
-    ids.push_back(
-        s.schedule_batch_at(TimePoint{} + milliseconds(1 + b % 3), fns));
+    ids.push_back(s.schedule_run_at(fns));
   }
   EXPECT_EQ(s.pending(), 200u);
   for (std::size_t b = 0; b < ids.size(); b += 2) s.cancel(ids[b]);
@@ -817,19 +808,6 @@ TEST(SchedulerTimedRunExtend, CancelledRunRejected) {
   s.cancel(id);
   EXPECT_FALSE(s.try_extend_run(id, labelled_entry(order, 9, 5)));
   EXPECT_EQ(s.pending(), 0u);
-}
-
-TEST(SchedulerTimedRunExtend, SameTimeBatchRejected) {
-  // Only TIMED runs extend: a same-time batch has no per-entry times to
-  // append to.
-  Scheduler s;
-  std::vector<int> order;
-  std::vector<Scheduler::Callback> fns;
-  fns.emplace_back([&order] { order.push_back(0); });
-  const BatchId id = s.schedule_batch_at(TimePoint{} + milliseconds(1), fns);
-  EXPECT_FALSE(s.try_extend_run(id, labelled_entry(order, 9, 5)));
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{0}));
 }
 
 TEST(SchedulerTimedRunExtend, NonMonotoneExtensionRejected) {

@@ -313,6 +313,62 @@ TEST(TcpConformance, ThreeDupAcksFastRetransmitWithoutRto) {
   EXPECT_EQ(t.client->cwnd(), 2500u);
 }
 
+// Scenario: with four segments in flight, the first and third are lost.
+// The two out-of-order arrivals draw only two duplicate acks, so the RTO
+// fires once and resends the head. Its ack is partial -- it stops at the
+// second hole, below the recovery point -- and the sender must resend that
+// hole at once, one round trip after the head, rather than wait out a
+// second, doubled RTO.
+TEST(TcpConformance, TwoHolesInOneFlightRecoverOneRttApartAfterOneRto) {
+  TcpPair t;
+  t.warm_arp();
+  TcpConfig cfg;
+  cfg.mss = 1000;
+  cfg.initial_cwnd_segments = 4;
+  t.establish(cfg);
+  if (HasFatalFailure()) return;
+
+  int data_seen = 0;
+  t.drop_next([data_seen](const TcpSegment& s) mutable {
+    return !s.payload.empty() && data_seen++ % 2 == 0;  // data #0 and #2
+  }, 2);
+  std::string payload;
+  for (int i = 0; i < 4; ++i) payload.append(std::string(1000, char('a' + i)));
+  t.client->send(util::to_bytes(payload));
+  t.net.scheduler().run();
+
+  EXPECT_EQ(t.server_received, payload);
+  EXPECT_EQ(t.client->stats().rto_retransmits, 1u);
+  EXPECT_EQ(t.client->stats().fast_retransmits, 1u);  // the partial-ack resend
+  EXPECT_EQ(t.client->stats().dup_acks_received, 2u);
+
+  const auto data = t.sent_by(*t.a, has_payload());
+  ASSERT_EQ(data.size(), 6u);
+  const std::uint32_t s0 = data[0].seg.seq;
+  EXPECT_EQ(data[1].seg.seq, s0 + 1000);
+  EXPECT_EQ(data[2].seg.seq, s0 + 2000);
+  EXPECT_EQ(data[3].seg.seq, s0 + 3000);
+  EXPECT_EQ(data[4].seg.seq, s0);         // the RTO resend of the head
+  EXPECT_EQ(data[5].seg.seq, s0 + 2000);  // the second hole, on the partial ack
+  EXPECT_EQ(data[4].at - data[0].at, milliseconds(200));  // one RTO at rto_min
+
+  const auto acks_of = [&](std::uint32_t ack) {
+    return t.sent_by(*t.b, [ack](const TcpSegment& s) {
+      return s.payload.empty() && s.ack == ack;
+    });
+  };
+  const auto partial = acks_of(s0 + 2000);
+  const auto full = acks_of(s0 + 4000);
+  ASSERT_EQ(partial.size(), 1u);
+  ASSERT_EQ(full.size(), 1u);
+  // Each resend is acked after the same server delay, and the second one
+  // leaves on the partial ack: the two holes recover one round trip apart.
+  EXPECT_LT(partial[0].at, data[5].at);
+  EXPECT_EQ(partial[0].at - data[4].at, full[0].at - data[5].at);
+  EXPECT_LT(data[5].at - data[4].at, milliseconds(1));
+  EXPECT_EQ(t.client->rto(), milliseconds(400));  // Karn kept the one backoff
+}
+
 // Scenario: Karn's rule. After a retransmission, the ack that finally
 // arrives must NOT contribute an RTT sample (it is ambiguous which
 // transmission it acks) and the backed-off RTO must persist until the next
