@@ -677,6 +677,16 @@ int main(int argc, char** argv) {
                  "build time, or lost pings) -- investigate\n");
   }
 
+  // Nic::deliver calls per carried frame on the station cell: the delivery
+  // work addressed delivery leaves (~2; the full walk made ~125,000 per
+  // frame, one per attached station). check_bench_smoke.sh bounds it.
+  const double visits_per_frame =
+      station.frames_carried > 0 ? static_cast<double>(station.lan_visits) /
+                                       static_cast<double>(station.frames_carried)
+                                 : 0.0;
+  std::printf("station scale %s: %.2f NIC visits per carried frame\n",
+              station.label.c_str(), visits_per_frame);
+
   std::FILE* f = std::fopen("BENCH_topology.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_topology.json\n");
@@ -708,7 +718,8 @@ int main(int argc, char** argv) {
                "  \"aggregate_profile\": {\"cell\": \"%s\", \"stations\": %d, "
                "\"build_ms\": %.2f, \"build_us_per_station\": %.3f, "
                "\"peak_rss_bytes\": %llu, \"bytes_per_station\": %.1f, "
-               "\"pings_sent\": %d, \"pings_answered\": %d},\n"
+               "\"pings_sent\": %d, \"pings_answered\": %d, "
+               "\"visits_per_frame\": %.2f},\n"
                "  \"tcp_incast\": {\"senders\": %d, \"link_mbps\": %.1f, "
                "\"offered_mbps\": %.1f, \"goodput_mbps\": %.2f, "
                "\"fair_share_mbps\": %.2f, \"min_stream_mbps\": %.2f, "
@@ -741,7 +752,8 @@ int main(int argc, char** argv) {
                build_us_per_station,
                static_cast<unsigned long long>(station.peak_rss_bytes),
                station.bytes_per_station, station.pings_sent,
-               station.pings_answered, incast.senders, incast.link_mbps,
+               station.pings_answered, visits_per_frame, incast.senders,
+               incast.link_mbps,
                incast.offered_mbps, incast.goodput_mbps,
                incast.fair_share_mbps, incast.min_stream_mbps,
                static_cast<unsigned long long>(incast.retransmits),

@@ -24,7 +24,9 @@ cmake --build build-asan -j
 echo "== TSan build + sharded-core tests =="
 # ThreadSanitizer over everything that touches the parallel core: the
 # mailbox/runner unit tests, the sharded-vs-oracle property tests, the
-# inject_remote segment tests, and the TCP suites (socket timers run on
+# aggregate-vs-materialized oracle (both at 8 and 200 stations per LAN, so
+# addressed delivery runs under the sanitizer), the inject_remote segment
+# tests, and the TCP suites (socket timers run on
 # per-shard schedulers, so the conformance + host-stack tests must stay
 # clean when the sharded workers are racing). The full suite under TSan is
 # slow and the rest of the code is single-threaded; the filter keeps this
@@ -32,7 +34,7 @@ echo "== TSan build + sharded-core tests =="
 cmake -B build-tsan -S . -DAB_TSAN=ON
 cmake --build build-tsan -j
 (cd build-tsan && ctest --output-on-failure -j \
-  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|InjectRemote|Tcp|BridgeArena')
+  -R 'RelayRing|ShardChannel|Shard\.|ParallelRunner|ParallelSweep|AggregateHostWorkload|InjectRemote|Tcp|BridgeArena')
 
 echo "== datapath accounting =="
 (cd build && ./micro_datapath --benchmark_filter='Fanout' && cat BENCH_datapath.json) || true

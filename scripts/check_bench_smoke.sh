@@ -30,7 +30,9 @@
 #      measured cost (804 B, 0.64-2.3 us per station) and the per-object
 #      model's (1433 B, 16.2 us), so a regression toward per-station heap
 #      objects or quadratic attach fails here even if the cell still
-#      completes.
+#      completes. Its visits_per_frame (Nic::deliver calls per carried
+#      frame) must stay <= 64: addressed delivery measures ~2, the full
+#      walk of every attached station ~125,000.
 #   7. tcp_incast: N TCP senders offering 2x the hub link must deliver
 #      every byte (TCP's reliability contract under queue-overflow drops)
 #      and keep aggregate goodput >= link/4 with the slowest stream >=
@@ -142,8 +144,9 @@ bps=$(field "$agg_line" bytes_per_station)
 bups=$(field "$agg_line" build_us_per_station)
 agg_sent=$(field "$agg_line" pings_sent)
 agg_answered=$(field "$agg_line" pings_answered)
+vpf=$(field "$agg_line" visits_per_frame)
 [ -n "$stations" ] && [ -n "$bps" ] && [ -n "$bups" ] \
-  && [ -n "$agg_sent" ] && [ -n "$agg_answered" ] \
+  && [ -n "$agg_sent" ] && [ -n "$agg_answered" ] && [ -n "$vpf" ] \
   || fail "could not parse aggregate_profile from: $agg_line"
 # Matches kMaxBytesPerStation / kMaxBuildUsPerStation in
 # bench/macro_topology.cpp. bytes_per_station reads 0 when the platform
@@ -162,6 +165,12 @@ if ! awk -v b="$bups" -v max="$max_bups" 'BEGIN { exit !(b <= max) }'; then
 fi
 if [ "$agg_sent" -eq 0 ] || [ "$agg_answered" -ne "$agg_sent" ]; then
   fail "aggregate workload lost pings: $agg_answered/$agg_sent answered"
+fi
+# Addressed delivery: a frame visits the NICs that act on it (~2 per
+# frame on this cell), not every station on its LAN (~125,000).
+max_vpf=64
+if ! awk -v v="$vpf" -v max="$max_vpf" 'BEGIN { exit !(v <= max) }'; then
+  fail "delivery stopped following addresses: $vpf NIC visits per frame (limit: $max_vpf, full walk: ~125000)"
 fi
 
 # --- tcp_incast: reliability + goodput under 2x offered load -------------

@@ -1024,6 +1024,7 @@ SweepResult TopologySweep::run_cell_single(const netsim::TopologySpec& spec,
     r.frames_carried += lan->stats().frames_carried;
     r.bytes_carried += lan->stats().bytes_carried;
     r.frames_lost += lan->stats().frames_lost;
+    r.lan_visits += lan->stats().visits;
   }
   r.events = net.scheduler().executed();
   r.heap_inserts = net.scheduler().inserts();
@@ -1090,6 +1091,7 @@ SweepResult TopologySweep::run_cell_sharded(const netsim::TopologySpec& spec,
     r.frames_carried += stats.frames_carried;
     r.bytes_carried += stats.bytes_carried;
     r.frames_lost += stats.frames_lost;
+    r.lan_visits += stats.visits;
   }
   r.events = topo.events();
   r.heap_inserts = topo.heap_inserts();
@@ -1140,13 +1142,14 @@ namespace {
 void write_result(std::FILE* f, const SweepResult& r) {
   std::fprintf(
       f,
-      "cell %d %d %d %d %d %d %d %llu %llu %llu %zu %d %d %llu %llu %llu "
+      "cell %d %d %d %d %d %d %d %llu %llu %llu %llu %zu %d %d %llu %llu %llu "
       "%.17g %.17g %.17g %.17g %llu %.17g\n",
       r.bridges, r.lans, r.hosts, r.ports, r.stp_converged ? 1 : 0,
       r.blocked_ports, r.forwarding_ports,
       static_cast<unsigned long long>(r.frames_carried),
       static_cast<unsigned long long>(r.bytes_carried),
-      static_cast<unsigned long long>(r.frames_lost), r.mac_entries, r.pings_sent,
+      static_cast<unsigned long long>(r.frames_lost),
+      static_cast<unsigned long long>(r.lan_visits), r.mac_entries, r.pings_sent,
       r.pings_answered, static_cast<unsigned long long>(r.events),
       static_cast<unsigned long long>(r.heap_inserts),
       static_cast<unsigned long long>(r.scheduled_entries), r.virtual_seconds,
@@ -1183,22 +1186,23 @@ std::string read_label(std::FILE* f) {
 
 bool read_result(std::FILE* f, SweepResult& r) {
   int stp = 0;
-  unsigned long long frames = 0, bytes = 0, lost = 0, events = 0, inserts = 0,
-                     scheduled = 0, rss = 0;
+  unsigned long long frames = 0, bytes = 0, lost = 0, visits = 0, events = 0,
+                     inserts = 0, scheduled = 0, rss = 0;
   if (std::fscanf(f,
-                  " cell %d %d %d %d %d %d %d %llu %llu %llu %zu %d %d %llu "
+                  " cell %d %d %d %d %d %d %d %llu %llu %llu %llu %zu %d %d %llu "
                   "%llu %llu %lg %lg %lg %lg %llu %lg",
                   &r.bridges, &r.lans, &r.hosts, &r.ports, &stp, &r.blocked_ports,
-                  &r.forwarding_ports, &frames, &bytes, &lost, &r.mac_entries,
+                  &r.forwarding_ports, &frames, &bytes, &lost, &visits, &r.mac_entries,
                   &r.pings_sent, &r.pings_answered, &events, &inserts, &scheduled,
                   &r.virtual_seconds, &r.wall_seconds, &r.events_per_sec,
-                  &r.build_ms, &rss, &r.bytes_per_station) != 22) {
+                  &r.build_ms, &rss, &r.bytes_per_station) != 23) {
     return false;
   }
   r.stp_converged = stp != 0;
   r.frames_carried = frames;
   r.bytes_carried = bytes;
   r.frames_lost = lost;
+  r.lan_visits = visits;
   r.events = events;
   r.heap_inserts = inserts;
   r.scheduled_entries = scheduled;

@@ -174,6 +174,10 @@ struct SweepResult {
   std::uint64_t frames_carried = 0;
   std::uint64_t bytes_carried = 0;
   std::uint64_t frames_lost = 0;
+  /// Nic::deliver calls the cell's segments made (LanStats::visits): the
+  /// delivery work addressed delivery leaves, where NicStats count every
+  /// frame each NIC heard.
+  std::uint64_t lan_visits = 0;
   std::size_t mac_entries = 0;
   int pings_sent = 0;
   int pings_answered = 0;

@@ -19,6 +19,7 @@ netsim::LanStats ShardedTopology::lan_stats(std::size_t l) const {
     total.frames_carried += replica->stats().frames_carried;
     total.bytes_carried += replica->stats().bytes_carried;
     total.frames_lost += replica->stats().frames_lost;
+    total.visits += replica->stats().visits;
   }
   return total;
 }

@@ -18,6 +18,38 @@ Nic::~Nic() {
   if (segment_ != nullptr) segment_->detach_nic(*this);
 }
 
+void Nic::set_rx_handler(RxHandler handler) {
+  rx_handler_ = std::move(handler);
+  set_group_interest(0);
+}
+
+void Nic::set_promiscuous(bool on) {
+  if (segment_ != nullptr) {
+    segment_->change_filter(*this, on, group_interest_);
+  } else {
+    promiscuous_ = on;
+  }
+}
+
+void Nic::set_group_interest(std::uint32_t ipv4) {
+  if (segment_ != nullptr) {
+    segment_->change_filter(*this, promiscuous_, ipv4);
+  } else {
+    group_interest_ = ipv4;
+  }
+}
+
+NicStats Nic::stats() const {
+  NicStats s = stats_;
+  if (segment_ != nullptr) {
+    const HeardCounts& heard = segment_->heard();
+    s.rx_frames += heard.accepted - heard_base_.accepted;
+    s.rx_bytes += heard.accepted_bytes - heard_base_.accepted_bytes;
+    s.rx_filtered += heard.filtered - heard_base_.filtered;
+  }
+  return s;
+}
+
 void Nic::attach(LanSegment& segment) {
   detach();
   segment_ = &segment;
@@ -245,6 +277,30 @@ void Nic::deliver(const ether::WireFrame& frame) {
   stats_.rx_frames += 1;
   stats_.rx_bytes += frame.wire_size();
   if (rx_handler_) rx_handler_(frame);
+}
+
+GroupRoute route_group_frame(const ether::Frame& frame) {
+  GroupRoute route;
+  if (frame.has_type(ether::EtherType::kIpv4)) {
+    route.kind = GroupRoute::Kind::kEveryone;
+  } else if (frame.has_type(ether::EtherType::kArp)) {
+    // ArpPacket::decode's acceptance test (Ethernet/IPv4, 6/4 address
+    // lengths, request or reply), read in place: target IP at offset 24.
+    const util::ByteBuffer& p = frame.payload;
+    const auto u16 = [&p](std::size_t at) {
+      return static_cast<std::uint16_t>((p[at] << 8) | p[at + 1]);
+    };
+    const bool well_formed = p.size() >= 28 && u16(0) == 1 && u16(2) == 0x0800 &&
+                             p[4] == 6 && p[5] == 4 && (u16(6) == 1 || u16(6) == 2);
+    if (well_formed) {
+      route.kind = GroupRoute::Kind::kArpTarget;
+      route.arp_target = (std::uint32_t{p[24]} << 24) | (std::uint32_t{p[25]} << 16) |
+                         (std::uint32_t{p[26]} << 8) | std::uint32_t{p[27]};
+    } else {
+      route.kind = GroupRoute::Kind::kEveryone;  // each host counts the parse error
+    }
+  }
+  return route;
 }
 
 void Nic::deliver_wire(util::ByteView wire) {

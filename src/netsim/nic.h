@@ -1,14 +1,15 @@
 // A simulated Ethernet adapter.
 //
-// Receive path: the segment's per-broadcast delivery walk hands every
-// receiver the same shared WireFrame (one scheduled event per segment, not
-// per NIC); the NIC checks FCS validity (one decode + one CRC check shared
-// by every receiver of the frame), applies its address filter
-// (unicast-to-me, broadcast, group, or everything when promiscuous -- the
-// paper's bridge "whenever an input port is bound, it is put into
-// promiscuous mode"), and hands the shared frame to the registered
-// handler. Detaching removes the NIC from in-flight delivery walks; it is
-// safe from inside another NIC's rx handler mid-walk.
+// Receive path: the segment's per-frame delivery event hands the shared
+// WireFrame to the receivers it visits (see lan.h for which ones); the NIC
+// checks FCS validity (one decode + one CRC check shared by every receiver
+// of the frame), applies its address filter (unicast-to-me, broadcast,
+// group, or everything when promiscuous -- the paper's bridge "whenever an
+// input port is bound, it is put into promiscuous mode"), and hands the
+// shared frame to the registered handler. The frames the segment did not
+// visit this NIC for are credited in bulk, so stats() still counts every
+// frame the NIC heard. Detaching removes the NIC from in-flight delivery
+// walks; it is safe from inside another NIC's rx handler mid-walk.
 //
 // Transmit path: WireFrames queue FIFO behind the transmitter, which is
 // busy for the segment's serialization delay per frame; a full queue drops
@@ -68,6 +69,25 @@ struct NicStats {
   std::uint64_t rx_bad = 0;       ///< FCS or framing errors
 };
 
+/// How a receiver that declared a group interest (Nic::set_group_interest)
+/// treats a group-addressed frame: the decisions HostStack::on_frame makes,
+/// judged from the frame alone, so the segment can skip the hosts a frame
+/// cannot touch.
+struct GroupRoute {
+  enum class Kind : std::uint8_t {
+    kIgnored,    ///< LLC, or an ethertype other than ARP and IPv4
+    kArpTarget,  ///< a well-formed ARP: only the owner of arp_target acts
+    kEveryone,   ///< IPv4, or a malformed ARP: every host decodes it
+  };
+  Kind kind = Kind::kIgnored;
+  /// The ARP target protocol address, host byte order (kArpTarget only).
+  std::uint32_t arp_target = 0;
+};
+
+/// Classifies a group-addressed frame for interested receivers. An ARP is
+/// well-formed exactly when ArpPacket::decode accepts its payload.
+[[nodiscard]] GroupRoute route_group_frame(const ether::Frame& frame);
+
 /// Minimal FIFO of wire frames over a lazily-allocated vector. An idle
 /// NIC's queue costs two words; std::deque here eagerly allocated its
 /// chunk map and first chunk (~600 heap bytes per NIC -- ruinous at a
@@ -118,11 +138,23 @@ class Nic {
   [[nodiscard]] LanSegment* segment() const { return segment_; }
 
   /// Installs the receive callback. Passing nullptr silences the NIC
-  /// (frames are filtered-counted but dropped).
-  void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
+  /// (frames are counted but dropped). Clears the group interest: the
+  /// interest describes the receiver it was declared for.
+  void set_rx_handler(RxHandler handler);
 
-  void set_promiscuous(bool on) { promiscuous_ = on; }
+  void set_promiscuous(bool on);
   [[nodiscard]] bool promiscuous() const { return promiscuous_; }
+
+  /// Declares that this NIC's receiver is an IPv4 host stack owning
+  /// `ipv4` (host byte order; 0 clears the interest). The receiver then
+  /// promises to ignore a group frame whenever route_group_frame() says
+  /// kIgnored, or kArpTarget with another target -- exactly what
+  /// HostStack::on_frame does -- and the segment skips delivering those
+  /// frames to this NIC, crediting their counts instead (see lan.h).
+  /// Unicast delivery is unaffected. HostStack's constructor sets it;
+  /// set_rx_handler clears it.
+  void set_group_interest(std::uint32_t ipv4);
+  [[nodiscard]] std::uint32_t group_interest() const { return group_interest_; }
 
   /// Bounds the transmit backlog (frames). Default 512. Occupancy counts
   /// queued frames plus the unfired remainder of a scheduled burst run
@@ -179,10 +211,12 @@ class Nic {
   /// Legacy/test entry point: wraps raw wire bytes and delivers them.
   void deliver_wire(util::ByteView wire);
 
-  [[nodiscard]] const NicStats& stats() const { return stats_; }
+  /// This NIC's counters plus its share of the segment's bulk credits:
+  /// exactly what delivering every heard frame to it would have counted.
+  [[nodiscard]] NicStats stats() const;
 
  private:
-  friend class LanSegment;  // maintains lan_index_ across attach/detach
+  friend class LanSegment;  // attach bookkeeping, filter state, credits
 
   void start_transmitter();
 
@@ -193,11 +227,18 @@ class Nic {
   /// This NIC's position in segment_'s attach list -- the back-index that
   /// makes detach O(1) on a million-station segment. Owned by LanSegment.
   std::size_t lan_index_ = 0;
+  /// Order of attachment to segment_ (unique per segment, growing with
+  /// lan_index_): tells the NICs attached while a frame was in flight from
+  /// those that heard it. Owned by LanSegment.
+  std::uint64_t attach_stamp_ = 0;
+  /// segment_->heard() when this NIC last folded its share into stats_.
+  HeardCounts heard_base_;
   RxHandler rx_handler_;
   bool promiscuous_ = false;
+  bool transmitting_ = false;
+  std::uint32_t group_interest_ = 0;  ///< see set_group_interest
   FrameFifo tx_queue_;
   std::size_t tx_queue_limit_ = 512;
-  bool transmitting_ = false;
   NicStats stats_;
   /// Unfired entries of this NIC's in-flight transmit run, INCLUDING the
   /// frame currently serializing (so occupancy charges run_remaining_ - 1

@@ -20,6 +20,10 @@ HostStack::HostStack(netsim::Scheduler& scheduler, netsim::Nic& nic, HostConfig 
   if (config_.arp_cache_reserve > 0) arp_cache_.reserve(config_.arp_cache_reserve);
   nic_->set_rx_handler(
       [this](const ether::WireFrame& frame) { on_frame(frame.frame()); });
+  // on_frame ignores LLC and non-ARP/IPv4 group frames, and decodes then
+  // drops an ARP for another target: declare it, and the segment skips
+  // this host for those frames (netsim::route_group_frame).
+  nic_->set_group_interest(config_.ip.value());
 }
 
 HostStack::ColdState& HostStack::cold() {

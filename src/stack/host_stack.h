@@ -76,6 +76,8 @@ struct HostStats {
   std::uint64_t echo_replies_received = 0;
   std::uint64_t rx_parse_errors = 0;
   std::uint64_t unresolved_drops = 0;  ///< packets dropped: ARP never resolved
+
+  bool operator==(const HostStats&) const = default;
 };
 
 class HostStack {
@@ -102,6 +104,7 @@ class HostStack {
   /// a global clock.
   [[nodiscard]] netsim::Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] const HostStats& stats() const { return stats_; }
+  [[nodiscard]] const ArpCache& arp_cache() const { return arp_cache_; }
   [[nodiscard]] netsim::ProcessingElement& tx_element() { return tx_pe_; }
 
   /// Binds a UDP port. Throws std::invalid_argument if already bound.

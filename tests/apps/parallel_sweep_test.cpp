@@ -294,15 +294,9 @@ TEST(ParallelSweep, SingleNetworkOnlyWorkloadsRejectShardedCells) {
   }
 }
 
-TEST(ParallelSweep, ShardedAggregateMatchesOracleBitIdentically) {
-  // The aggregate workload partitioned across regions -- per-LAN generator
-  // NICs on their owning shard, talkers pinging on per-host clocks, the
-  // ttcp stream riding cut-LAN mailboxes -- must reproduce the
-  // single-Network oracle's traffic exactly on a tie-free cell, at every
-  // thread count, and sharded runs must agree with each other on
-  // scheduler internals too.
+void expect_sharded_aggregate_matches_oracle(int hosts_per_lan) {
   netsim::TopologySpec spec = star_cell();
-  spec.hosts_per_lan = 8;  // room for talkers AND a background sample
+  spec.hosts_per_lan = hosts_per_lan;
 
   AggregateHostWorkload::Options wopts;
   wopts.talkers_per_lan = 2;
@@ -343,6 +337,21 @@ TEST(ParallelSweep, ShardedAggregateMatchesOracleBitIdentically) {
           << "threads=" << threads;
     }
   }
+}
+
+TEST(ParallelSweep, ShardedAggregateMatchesOracleBitIdentically) {
+  // The aggregate workload partitioned across regions -- per-LAN generator
+  // NICs on their owning shard, talkers pinging on per-host clocks, the
+  // ttcp stream riding cut-LAN mailboxes -- must reproduce the
+  // single-Network oracle's traffic exactly on a tie-free cell, at every
+  // thread count, and sharded runs must agree with each other on
+  // scheduler internals too.
+  expect_sharded_aggregate_matches_oracle(8);  // room for talkers AND a background sample
+}
+
+TEST(ParallelSweep, ShardedAggregateMatchesOracleBitIdenticallyOnBigLans) {
+  // 200 stations per LAN: addressed delivery on every replica.
+  expect_sharded_aggregate_matches_oracle(200);
 }
 
 TEST(ParallelSweep, ShardedAggregateBackgroundReplayIsSeedStable) {

@@ -257,11 +257,11 @@ TEST(TopologySweep, StpOffMeasuresTheStorm) {
   EXPECT_GT(r.frames_carried, 100u);
 }
 
-netsim::TopologySpec small_star() {
+netsim::TopologySpec small_star(int hosts_per_lan = 8) {
   netsim::TopologySpec spec;
   spec.shape = netsim::TopologyShape::kStar;
   spec.nodes = 2;       // hub + 2 leaves = 3 LANs
-  spec.hosts_per_lan = 8;
+  spec.hosts_per_lan = hosts_per_lan;
   return spec;
 }
 
@@ -296,15 +296,7 @@ TEST(AggregateHostWorkload, SameSeedSameCellIsBitIdentical) {
   EXPECT_GT(runs[0].pings_answered, 0);
 }
 
-TEST(AggregateHostWorkload, MatchesTheMaterializedModelOnASmallCell) {
-  // The acceptance claim behind the million-station cell: replaying a
-  // background frame from the per-LAN generator NIC instead of the
-  // station's own NIC changes NOTHING the simulation can observe -- the
-  // frame carries the station's real MAC/IP, the generator is attached
-  // first in both modes (identical receiver walks), and the gap keeps the
-  // generator idle (no queueing skew). Same cell, same seed, both modes:
-  // every shared counter must match bit for bit.
-  const netsim::TopologySpec spec = small_star();
+void expect_aggregate_matches_materialized(const netsim::TopologySpec& spec) {
   SweepResult by_mode[2];
   for (int materialize = 0; materialize < 2; ++materialize) {
     AggregateHostWorkload::Options opts = small_aggregate_options();
@@ -329,6 +321,23 @@ TEST(AggregateHostWorkload, MatchesTheMaterializedModelOnASmallCell) {
   }
   // And the background actually ran: every LAN's sampled stations pinged.
   EXPECT_GT(aggregate.pings_answered, 0);
+}
+
+TEST(AggregateHostWorkload, MatchesTheMaterializedModelOnASmallCell) {
+  // The acceptance claim behind the million-station cell: replaying a
+  // background frame from the per-LAN generator NIC instead of the
+  // station's own NIC changes NOTHING the simulation can observe -- the
+  // frame carries the station's real MAC/IP, the generator is attached
+  // first in both modes (identical receiver walks), and the gap keeps the
+  // generator idle (no queueing skew). Same cell, same seed, both modes:
+  // every shared counter must match bit for bit.
+  expect_aggregate_matches_materialized(small_star());
+}
+
+TEST(AggregateHostWorkload, MatchesTheMaterializedModelOnBigLans) {
+  // The same oracle at 200 stations per LAN, where addressed delivery
+  // skips most stations for most frames.
+  expect_aggregate_matches_materialized(small_star(200));
 }
 
 }  // namespace
