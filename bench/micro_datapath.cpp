@@ -13,6 +13,7 @@
 #include "src/ether/frame.h"
 #include "src/netsim/network.h"
 #include "src/active/demux.h"
+#include "src/stack/checksum.h"
 #include "src/util/crc32.h"
 #include "src/util/md5.h"
 
@@ -157,6 +158,16 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1500);
+
+void BM_InternetChecksum(benchmark::State& state) {
+  const util::ByteBuffer data(static_cast<std::size_t>(state.range(0)), 0xA7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stack::internet_checksum(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1500);
 
 void BM_Md5(benchmark::State& state) {
   const util::ByteBuffer data(static_cast<std::size_t>(state.range(0)), 0xA7);

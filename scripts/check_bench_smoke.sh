@@ -3,7 +3,7 @@
 # paths, run by CI and ci.sh after the Release bench smoke:
 #
 #   1. BENCH_scheduler.json must carry the batch_insert AND timed_run cells
-#      (the schedule_batch_at / schedule_run_at microbenches) -- a refactor
+#      (the same-time and timed schedule_run_at microbenches) -- a refactor
 #      that silently drops either would stop tracking the batch paths
 #      across PRs.
 #   2. BENCH_topology.json's flood_profile must stay at O(1) scheduler

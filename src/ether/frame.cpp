@@ -77,7 +77,11 @@ util::ByteBuffer Frame::encode() const {
                                          payload.size()));
   }
 
-  util::BufWriter w;
+  // One allocation of the final size: the buffer starts zeroed, so the
+  // minimum-frame padding is already in place, and the FCS is written into
+  // its last four bytes.
+  util::ByteBuffer bytes(wire_size());
+  util::BufWriter w(bytes);
   dst.write(w);
   src.write(w);
   if (is_llc()) {
@@ -88,14 +92,9 @@ util::ByteBuffer Frame::encode() const {
     w.u16(*ethertype);
   }
   w.bytes(payload);
-  if (body < kMinPayload) w.zeros(kMinPayload - body);
 
-  util::ByteBuffer bytes = w.take();
-  const std::uint32_t fcs = util::crc32(bytes);
-  util::BufWriter tail;
-  tail.u32(fcs);
-  const util::ByteBuffer fcs_bytes = tail.take();
-  bytes.insert(bytes.end(), fcs_bytes.begin(), fcs_bytes.end());
+  const util::ByteView covered = util::ByteView(bytes).first(bytes.size() - kFcsSize);
+  util::BufWriter(std::span<std::uint8_t>(bytes).last(kFcsSize)).u32(util::crc32(covered));
   datapath_counters().bytes_copied += bytes.size();
   return bytes;
 }

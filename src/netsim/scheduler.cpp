@@ -65,7 +65,15 @@ BatchId Scheduler::schedule_run_at(std::span<TimedEntry> entries) {
 
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
-  s.batch = std::make_unique<Batch>();
+  if (spare_batches_.empty()) {
+    s.batch = std::make_unique<Batch>();
+  } else {
+    // A retired run's storage, already cleared by free_slot: its vectors
+    // keep their capacity, so a run no longer than one it held before
+    // costs no allocation at all.
+    s.batch = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+  }
   s.batch->entries.reserve(entries.size());
   s.batch->times.reserve(entries.size());
   for (TimedEntry& e : entries) {
@@ -204,8 +212,17 @@ void Scheduler::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   if (++s.gen == 0) s.gen = 1;  // never hand out the unissuable generation
   s.fn = nullptr;
-  s.batch.reset();
+  std::unique_ptr<Batch> batch = std::move(s.batch);
   free_.push_back(slot);
+  if (batch != nullptr) {
+    // Drop the unfired callbacks now, as destroying the run would, but
+    // keep the storage for the next schedule_run_at.
+    batch->entries.clear();
+    batch->times.clear();
+    batch->orders.clear();
+    batch->next = 0;
+    spare_batches_.push_back(std::move(batch));
+  }
 }
 
 bool Scheduler::pop_and_run() {

@@ -27,7 +27,9 @@
 //     each counts against run() budgets and executed(), pending() counts
 //     every unfired entry, and interleaving with every other event is
 //     bit-identical to k schedule_at calls. One BatchId cancel unlinks
-//     everything still pending in O(log n).
+//     everything still pending in O(log n). A retired run's storage is
+//     cleared and kept for the next run, so steady-state runs allocate
+//     nothing either.
 //
 // A cancelled, fired, or never-issued EventId is recognized by its
 // generation stamp, so stale cancels are harmless no-ops (timers race with
@@ -219,7 +221,7 @@ class Scheduler {
   /// Unlinks the heap entry at `pos`, restoring the heap property.
   void heap_remove(std::uint32_t pos);
   /// Retires a slot: bumps its generation (invalidating outstanding ids),
-  /// drops the callback, and recycles the index.
+  /// drops the callback(s), and recycles the index and any run storage.
   void free_slot(std::uint32_t slot);
 
   /// Pops and runs the next event; false when the queue is empty.
@@ -228,6 +230,8 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::vector<HeapEntry> heap_;      ///< 4-ary min-heap on (when, order)
   std::vector<std::uint32_t> free_;  ///< recycled slot indices
+  /// Cleared storage of retired runs, reused by schedule_run_at.
+  std::vector<std::unique_ptr<Batch>> spare_batches_;
   TimePoint now_{};
   std::uint64_t next_order_ = 1;
   std::uint64_t executed_ = 0;

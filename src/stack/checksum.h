@@ -24,7 +24,7 @@ class InternetChecksum {
   [[nodiscard]] std::uint16_t finish() const;
 
  private:
-  std::uint32_t sum_ = 0;
+  std::uint64_t sum_ = 0;  ///< unfolded; finish() folds the carries
 };
 
 /// One-shot checksum over a buffer.

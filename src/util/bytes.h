@@ -202,7 +202,8 @@ class BufWriter {
         throw BufferOverflow("fixed buffer of " + std::to_string(fixed_.size()) +
                              " bytes overflowed at offset " + std::to_string(pos_));
       }
-      std::memcpy(fixed_.data() + pos_, src, n);
+      // An empty view may carry a null data(), which memcpy must not see.
+      if (n != 0) std::memcpy(fixed_.data() + pos_, src, n);
       pos_ += n;
     } else {
       grow_.insert(grow_.end(), src, src + n);

@@ -11,7 +11,11 @@
 // one insert and one BatchId cancel. Firing order, the clock after every
 // op, pending() after every op, and which extensions were accepted must be
 // identical, including events scheduled from inside callbacks, budgets
-// that split a run, and cancels of already-fired ids.
+// that split a run, and cancels of already-fired ids. A second,
+// recycle-heavy op mix keeps most runs short, extended, cancelled and
+// drained soon after they are issued, so most runs land in storage a
+// retired run left behind and stale handles to retired runs keep being
+// used.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,28 +52,50 @@ struct Op {
                                             ///< exercises the no-op)
   std::size_t cancel_sel = 0;  ///< kCancel/kCancelBatch/kExtendRun: index
                                ///< into issued handles (mod size)
+  bool recent = false;         ///< kCancelBatch/kExtendRun: cancel_sel counts
+                               ///< back from the newest run handle instead
   std::size_t budget = 0;      ///< kRunBudget: max events
 };
 
-std::vector<Op> generate_program(std::uint64_t seed, int length) {
+/// An op mix: cumulative percentage thresholds for each kind, in the
+/// order generate_program tests them (kRunBudget takes the rest).
+struct Mix {
+  std::uint64_t schedule, equal_run, timed_run, cancel, extend, cancel_batch,
+      run_until, step;
+  bool recent_runs;  ///< run cancels/extends pick among the newest handles
+};
+
+constexpr Mix kDefaultMix{35, 45, 50, 58, 65, 73, 85, 95, false};
+/// Few singles; short runs that are extended (materializing per-entry
+/// orders), cancelled and drained soon after issue, then replaced.
+constexpr Mix kRecycleMix{10, 25, 45, 50, 68, 78, 86, 96, true};
+
+/// Index of the handle an op selects among `size` issued ones.
+std::size_t pick(const Op& op, std::size_t size) {
+  if (!op.recent) return op.cancel_sel % size;
+  return size - 1 - op.cancel_sel % std::min<std::size_t>(size, 3);
+}
+
+std::vector<Op> generate_program(std::uint64_t seed, int length,
+                                 const Mix& mix = kDefaultMix) {
   util::Rng rng(seed);
   std::vector<Op> ops;
   ops.reserve(static_cast<std::size_t>(length));
   for (int i = 0; i < length; ++i) {
     Op op;
     const std::uint64_t roll = rng.uniform(0, 99);
-    if (roll < 35) {
+    if (roll < mix.schedule) {
       op.kind = Op::kSchedule;
       // Mostly future, occasionally negative to exercise the clamp.
       op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
       op.spawn_child = rng.chance(0.3);
       op.child_delay_us = static_cast<std::int64_t>(rng.uniform(0, 500));
-    } else if (roll < 45) {
+    } else if (roll < mix.equal_run) {
       // Equal-time run: a same-time fan-out.
       op.kind = Op::kScheduleRun;
       const auto delay = static_cast<std::int64_t>(rng.uniform(0, 2100)) - 100;
       op.run_delays_us.assign(static_cast<std::size_t>(rng.uniform(0, 5)), delay);
-    } else if (roll < 50) {
+    } else if (roll < mix.timed_run) {
       op.kind = Op::kScheduleRun;
       const auto size = static_cast<std::size_t>(rng.uniform(0, 5));
       for (std::size_t e = 0; e < size; ++e) {
@@ -79,20 +105,22 @@ std::vector<Op> generate_program(std::uint64_t seed, int length) {
       // The API takes non-decreasing times; sorting keeps random draws
       // valid while exercising equal-time pairs.
       std::sort(op.run_delays_us.begin(), op.run_delays_us.end());
-    } else if (roll < 58) {
+    } else if (roll < mix.cancel) {
       op.kind = Op::kCancel;
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
-    } else if (roll < 65) {
+    } else if (roll < mix.extend) {
       op.kind = Op::kExtendRun;
       op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 2100));
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
-    } else if (roll < 73) {
+      op.recent = mix.recent_runs;
+    } else if (roll < mix.cancel_batch) {
       op.kind = Op::kCancelBatch;
       op.cancel_sel = static_cast<std::size_t>(rng.uniform(0, 1 << 20));
-    } else if (roll < 85) {
+      op.recent = mix.recent_runs;
+    } else if (roll < mix.run_until) {
       op.kind = Op::kRunUntil;
       op.delay_us = static_cast<std::int64_t>(rng.uniform(0, 3000));
-    } else if (roll < 95) {
+    } else if (roll < mix.step) {
       op.kind = Op::kStep;
     } else {
       op.kind = Op::kRunBudget;
@@ -131,16 +159,15 @@ struct IndexedRunOps {
     handles.push_back(sched.schedule_run_at(entries));
   }
 
-  bool extend(Scheduler& sched, Observation& obs, std::size_t sel,
-              std::int64_t delay_us, int label) {
+  bool extend(Scheduler& sched, Observation& obs, const Op& op, int label) {
     if (handles.empty()) return false;
-    return sched.try_extend_run(handles[sel % handles.size()],
-                                {sched.now() + microseconds(delay_us),
+    return sched.try_extend_run(handles[pick(op, handles.size())],
+                                {sched.now() + microseconds(op.delay_us),
                                  [&obs, label] { obs.fired.push_back(label); }});
   }
 
-  void cancel(Scheduler& sched, std::size_t sel) {
-    if (!handles.empty()) sched.cancel(handles[sel % handles.size()]);
+  void cancel(Scheduler& sched, const Op& op) {
+    if (!handles.empty()) sched.cancel(handles[pick(op, handles.size())]);
   }
 };
 
@@ -179,11 +206,10 @@ struct BaselineRunOps {
     }
   }
 
-  bool extend(BaselineScheduler& sched, Observation& obs, std::size_t sel,
-              std::int64_t delay_us, int label) {
+  bool extend(BaselineScheduler& sched, Observation& obs, const Op& op, int label) {
     if (groups.empty()) return false;
-    const std::size_t g = sel % groups.size();
-    const TimePoint when = sched.now() + microseconds(delay_us);
+    const std::size_t g = pick(op, groups.size());
+    const TimePoint when = sched.now() + microseconds(op.delay_us);
     Group& group = groups[g];
     if (group.cancelled || group.fired == group.ids.size() || when < group.tail) {
       return false;
@@ -192,9 +218,9 @@ struct BaselineRunOps {
     return true;
   }
 
-  void cancel(BaselineScheduler& sched, std::size_t sel) {
+  void cancel(BaselineScheduler& sched, const Op& op) {
     if (groups.empty()) return;
-    Group& group = groups[sel % groups.size()];
+    Group& group = groups[pick(op, groups.size())];
     for (const BaselineEventId id : group.ids) sched.cancel(id);
     group.cancelled = true;
   }
@@ -240,14 +266,13 @@ Observation execute(const std::vector<Op>& ops) {
         break;
       }
       case Op::kExtendRun:
-        obs.extended.push_back(
-            runs.extend(sched, obs, op.cancel_sel, op.delay_us, label++));
+        obs.extended.push_back(runs.extend(sched, obs, op, label++));
         break;
       case Op::kCancel:
         if (!ids.empty()) sched.cancel(ids[op.cancel_sel % ids.size()]);
         break;
       case Op::kCancelBatch:
-        runs.cancel(sched, op.cancel_sel);
+        runs.cancel(sched, op);
         break;
       case Op::kRunUntil:
         sched.run_until(sched.now() + microseconds(op.delay_us));
@@ -268,24 +293,44 @@ Observation execute(const std::vector<Op>& ops) {
   return obs;
 }
 
-class SchedulerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SchedulerEquivalence, RandomProgramsFireIdenticallyOnBothCores) {
-  const std::vector<Op> program = generate_program(GetParam(), 400);
+/// Runs `program` on both cores, expects identical observations, and
+/// returns the indexed core's.
+Observation expect_equivalent(const std::vector<Op>& program, std::uint64_t seed) {
   const Observation baseline = execute<BaselineScheduler>(program);
   const Observation indexed = execute<Scheduler>(program);
 
-  EXPECT_EQ(baseline.fired, indexed.fired) << "seed " << GetParam();
-  EXPECT_EQ(baseline.clock_ns, indexed.clock_ns) << "seed " << GetParam();
-  EXPECT_EQ(baseline.pending, indexed.pending) << "seed " << GetParam();
-  EXPECT_EQ(baseline.extended, indexed.extended) << "seed " << GetParam();
-  EXPECT_EQ(baseline.executed, indexed.executed) << "seed " << GetParam();
+  EXPECT_EQ(baseline.fired, indexed.fired) << "seed " << seed;
+  EXPECT_EQ(baseline.clock_ns, indexed.clock_ns) << "seed " << seed;
+  EXPECT_EQ(baseline.pending, indexed.pending) << "seed " << seed;
+  EXPECT_EQ(baseline.extended, indexed.extended) << "seed " << seed;
+  EXPECT_EQ(baseline.executed, indexed.executed) << "seed " << seed;
   EXPECT_TRUE(baseline.empty_at_end);
   EXPECT_TRUE(indexed.empty_at_end);
+  return indexed;
+}
+
+class SchedulerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerEquivalence, RandomProgramsFireIdenticallyOnBothCores) {
+  expect_equivalent(generate_program(GetParam(), 400), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerEquivalence,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+class SchedulerRecycleEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerRecycleEquivalence, RecycledRunStorageFiresIdenticallyOnBothCores) {
+  const Observation indexed =
+      expect_equivalent(generate_program(GetParam(), 600, kRecycleMix), GetParam());
+  // The mix must actually land extensions on live runs, or the reused
+  // storage would never carry materialized per-entry orders.
+  EXPECT_NE(std::count(indexed.extended.begin(), indexed.extended.end(), true), 0)
+      << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerRecycleEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 // Equal-time FIFO at scale: many events on one timestamp interleaved with
 // cancels must fire in exact submission order on both cores.

@@ -851,5 +851,83 @@ TEST(SchedulerTimedRunExtend, RepeatedExtensionsKeepFifoOrder) {
   EXPECT_EQ(order, expect);
 }
 
+// ---------------------------------------------------------------------------
+// Run storage recycling: a retired run's storage is cleared and handed to
+// the next schedule_run_at. Nothing of the old run (entries, times, the
+// cursor, materialized per-entry orders) may leak into the new one, and
+// the old handle must stay stale.
+
+namespace {
+
+/// Schedules a fresh timed run {5, 5, 6} ms labelled 10..12 between two
+/// singles at 5 ms, and checks it fires exactly like individual events
+/// issued at that point. A leftover `orders` vector from an extended run
+/// would give the new entries the old, smaller order numbers and fire them
+/// before the single scheduled ahead of them. The retired run's handle
+/// `old` must be a no-op for cancel and try_extend_run throughout.
+void expect_fresh_run_behaves(Scheduler& s, std::vector<int>& order, BatchId old) {
+  order.clear();
+  s.schedule_at(TimePoint{} + milliseconds(5), [&order] { order.push_back(-1); });
+  auto entries = labelled_run(order, 10, {5, 5, 6});
+  const BatchId fresh = s.schedule_run_at(entries);
+  s.schedule_at(TimePoint{} + milliseconds(5), [&order] { order.push_back(-2); });
+  EXPECT_EQ(s.pending(), 5u);
+  s.cancel(old);
+  EXPECT_FALSE(s.try_extend_run(old, labelled_entry(order, 99, 20)));
+  EXPECT_EQ(s.pending(), 5u);
+  EXPECT_TRUE(s.step());
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.pending(), 3u);
+  // The new handle is live and extends the new run; the old one still
+  // cannot touch it.
+  EXPECT_TRUE(s.try_extend_run(fresh, labelled_entry(order, 13, 7)));
+  s.cancel(old);
+  EXPECT_EQ(s.pending(), 4u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 10, 11, -2, 12, 13}));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.now().time_since_epoch(), milliseconds(7));
+}
+
+}  // namespace
+
+TEST(SchedulerRunRecycling, FinishedExtendedRunStorageIsReusedCleanly) {
+  Scheduler s;
+  std::vector<int> order;
+  auto entries = labelled_run(order, 0, {1, 2});
+  const BatchId old = s.schedule_run_at(entries);
+  // Extending materializes the run's per-entry order vector.
+  EXPECT_TRUE(s.try_extend_run(old, labelled_entry(order, 2, 3)));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(s.empty());
+
+  expect_fresh_run_behaves(s, order, old);
+}
+
+TEST(SchedulerRunRecycling, RunCancelledFromItsOwnEntryIsReusedCleanly) {
+  Scheduler s;
+  std::vector<int> order;
+  BatchId old{};
+  std::vector<Scheduler::TimedEntry> entries;
+  Scheduler::TimedEntry first;
+  first.when = TimePoint{} + milliseconds(1);
+  first.fn = [&] {
+    order.push_back(0);
+    s.cancel(old);  // drops entries 1 and 2 (the appended one) unfired
+  };
+  entries.push_back(std::move(first));
+  entries.push_back(labelled_entry(order, 1, 2));
+  old = s.schedule_run_at(entries);
+  EXPECT_TRUE(s.try_extend_run(old, labelled_entry(order, 2, 3)));
+  EXPECT_EQ(s.pending(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.executed(), 1u);
+
+  expect_fresh_run_behaves(s, order, old);
+}
+
 }  // namespace
 }  // namespace ab::netsim
