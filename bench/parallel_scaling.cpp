@@ -53,6 +53,15 @@ bool counters_match(const ab::apps::SweepResult& a,
          a.scheduled_entries == b.scheduled_entries;
 }
 
+/// How the run's waiting threads passed the time between rounds: "serial"
+/// for the legacy path and the 1-thread runner (nothing waits),
+/// "spin-park" when waiters spin before parking, "park" when they park at
+/// once because the workers take every hardware thread.
+const char* wait_mode(const RunRow& row) {
+  if (row.shard_regions == 0 || row.threads <= 1) return "serial";
+  return row.result.runner_spins ? "spin-park" : "park";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,13 +263,18 @@ int main(int argc, char** argv) {
                  "    {\"run\": \"%s\", \"threads\": %d, "
                  "\"shard_regions\": %d, \"events\": %llu, "
                  "\"frames_carried\": %llu, \"bytes_carried\": %llu, "
+                 "\"rounds\": %llu, \"inline_rounds\": %llu, "
+                 "\"wait_mode\": \"%s\", "
                  "\"wall_seconds\": %.6f, \"events_per_sec\": %.0f, "
                  "\"speedup_vs_1t\": %.3f}%s\n",
                  row.run.c_str(), row.threads, row.shard_regions,
                  static_cast<unsigned long long>(row.result.events),
                  static_cast<unsigned long long>(row.result.frames_carried),
                  static_cast<unsigned long long>(row.result.bytes_carried),
-                 row.result.wall_seconds, row.result.events_per_sec, speedup,
+                 static_cast<unsigned long long>(row.result.runner_rounds),
+                 static_cast<unsigned long long>(row.result.inline_rounds),
+                 wait_mode(row), row.result.wall_seconds,
+                 row.result.events_per_sec, speedup,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f,
@@ -286,7 +300,9 @@ int main(int argc, char** argv) {
                  "\"frames_carried\": %llu, \"bytes_carried\": %llu, "
                  "\"pings_answered\": %d, \"mac_entries\": %llu, "
                  "\"stream_bytes_received\": %llu, \"build_ms\": %.1f, "
-                 "\"bytes_per_station\": %.1f, \"wall_seconds\": %.6f, "
+                 "\"bytes_per_station\": %.1f, \"rounds\": %llu, "
+                 "\"inline_rounds\": %llu, \"wait_mode\": \"%s\", "
+                 "\"wall_seconds\": %.6f, "
                  "\"sim_seconds\": %.6f, \"speedup_vs_1t\": %.3f}%s\n",
                  row.run.c_str(), row.threads, row.shard_regions,
                  static_cast<unsigned long long>(row.result.events),
@@ -296,7 +312,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(row.result.mac_entries),
                  static_cast<unsigned long long>(stream_bytes),
                  row.result.build_ms, row.result.bytes_per_station,
-                 row.result.wall_seconds, sim, speedup,
+                 static_cast<unsigned long long>(row.result.runner_rounds),
+                 static_cast<unsigned long long>(row.result.inline_rounds),
+                 wait_mode(row), row.result.wall_seconds, sim, speedup,
                  i + 1 < agg_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

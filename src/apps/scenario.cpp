@@ -414,7 +414,7 @@ void FloodPingWorkload::run(WorkloadContext& ctx, SweepResult& result) {
   //
   // One reply slot per host, not a shared counter: in a sharded cell each
   // handler fires on its host's shard thread, and disjoint slots are the
-  // whole synchronization story (the runner's barriers publish them).
+  // whole synchronization story (the runner's round hand-offs publish them).
   const std::size_t hosts = ctx.host_count();
   std::vector<int> answered(hosts, 0);
   if (ctx.options.neighbor_pings && hosts >= 2) {
@@ -1096,6 +1096,9 @@ SweepResult TopologySweep::run_cell_sharded(const netsim::TopologySpec& spec,
   r.events = topo.events();
   r.heap_inserts = topo.heap_inserts();
   r.scheduled_entries = topo.scheduled_entries();
+  r.runner_rounds = runner.rounds();
+  r.inline_rounds = runner.inline_rounds();
+  r.runner_spins = runner.spins();
   r.virtual_seconds =
       netsim::to_seconds(topo.regions.front()->net.now().time_since_epoch());
   r.wall_seconds =

@@ -197,6 +197,11 @@ struct SweepResult {
   double wall_seconds = 0.0;     ///< real time the cell took
   double events_per_sec = 0.0;   ///< events / wall_seconds
 
+  // parallel-runner rounds (sharded path only; 0 on the single-Network path)
+  std::uint64_t runner_rounds = 0;
+  std::uint64_t inline_rounds = 0;  ///< rounds with at most one busy shard
+  bool runner_spins = false;        ///< waiters spun before parking
+
   // station-scale cost (the million-station cell's acceptance columns)
   double build_ms = 0.0;              ///< build_topology wall time
   std::uint64_t peak_rss_bytes = 0;   ///< process peak RSS at cell end

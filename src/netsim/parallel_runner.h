@@ -1,16 +1,31 @@
 // ParallelRunner: conservative lockstep execution of per-shard Schedulers.
 //
-// Time advances in ROUNDS. Each round:
+// Time advances in ROUNDS. The thread that calls run_until (the
+// COORDINATOR) runs each round:
 //
-//   1. Every shard drains its inbound mailboxes (all producers are
+//   1. It drains every shard's inbound mailboxes (all producers are
 //      quiescent, so the drain sees every frame emitted in earlier rounds
-//      and nothing else), scheduling the frames into its local queue at
+//      and nothing else), scheduling the frames into their local queues at
 //      their producer-computed delivery times.
-//   2. One thread (the barrier's serial completion) computes the next
-//      window end  E = min(target, Tmin + L - 1ns)  where Tmin is the
-//      earliest pending event across ALL shards and L is the cell's
-//      lookahead -- the minimum propagation delay over every cut segment.
-//   3. Every shard runs run_until(E) independently.
+//   2. It computes the next window end  E = min(target, Tmin + L - 1ns)
+//      where Tmin is the earliest pending event across ALL shards and L is
+//      the cell's lookahead -- the minimum propagation delay over every
+//      cut segment.
+//   3. A shard with no event at or before E is idle for the round: nothing
+//      can reach it inside the window, so the coordinator just moves its
+//      clock to E. When at most one shard is BUSY (has such an event), the
+//      coordinator runs that shard's window itself -- an INLINE round, with
+//      no hand-off at all.
+//   4. Otherwise it posts the round: one atomic generation word wakes the
+//      workers, and every thread, the coordinator included, claims busy
+//      shards from an atomic cursor and runs them to E. The thread that
+//      finishes the round's last shard wakes the coordinator through a
+//      second word.
+//
+// A waiting thread (a worker between rounds, the coordinator at the end of
+// a round) spins for a bounded time and then parks on std::atomic::wait.
+// It spins only when the workers leave a hardware thread free; otherwise a
+// spinner would take the core the thread it waits for needs.
 //
 // Safety: an event executed in the window fires at some t >= Tmin, so any
 // frame it relays across a cut is delivered at t + propagation >= Tmin + L
@@ -19,15 +34,17 @@
 // inject_remote assert enforces it. Cells with no cut segments (one shard,
 // or lookahead unset) collapse to a single window to the target.
 //
-// Determinism: the round/window sequence is a pure function of the
-// simulation state -- Tmin and L do not depend on how shards are mapped to
-// threads -- and within a round shards touch disjoint state (drains write
-// only the draining shard's replicas; producers are parked at the
-// barrier). So every shard executes the identical event sequence whether
-// the runner uses 1 worker or 8, which is what the thread-count
-// independence property test proves end to end. With threads == 1 the
-// runner skips thread spawn and barriers entirely and executes the same
-// rounds inline -- the 1-thread sharded path IS the serial path.
+// Determinism: the round/window sequence -- and which shards are busy in
+// each -- is a pure function of the simulation state: Tmin and L do not
+// depend on how shards are mapped to threads, and within a round shards
+// touch disjoint state (the coordinator drained every mailbox before the
+// post; producers write only their own shard's state and outbound rings).
+// So every shard executes the identical event sequence whether the runner
+// uses 1 worker or 8, which is what the thread-count independence tests
+// prove end to end. With threads == 1 the runner never spawns a thread and
+// executes the same rounds inline -- the 1-thread sharded path IS the
+// serial path. Workers are spawned per run_until call, at the first round
+// that needs them.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +58,8 @@ namespace ab::netsim {
 class ParallelRunner {
  public:
   struct Options {
-    /// Worker threads. Clamped to [1, shards]; 1 runs inline.
+    /// Worker threads, the calling thread included. Clamped to
+    /// [1, shards]; 1 runs inline.
     int threads = 1;
     /// Conservative lookahead: minimum propagation delay across cut
     /// segments. <= 0 means "no cross-shard coupling" (single window).
@@ -61,32 +79,38 @@ class ParallelRunner {
   void run_for(Duration d);
 
   /// Synchronization rounds executed so far (telemetry: the bench reports
-  /// rounds per simulated second to show barrier amortization).
+  /// rounds per simulated second to show round amortization).
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
+
+  /// Rounds in which at most one shard had an event in the window -- the
+  /// rounds the coordinator runs without a hand-off. A function of the
+  /// round structure alone, so equal at every thread count.
+  [[nodiscard]] std::uint64_t inline_rounds() const { return inline_rounds_; }
+
+  /// True when waiting threads spin before they park (the workers leave a
+  /// hardware thread free); false when they park at once or when the
+  /// runner is single-threaded.
+  [[nodiscard]] bool spins() const { return spins_; }
 
   [[nodiscard]] const std::vector<Shard*>& shards() const { return shards_; }
 
  private:
+  class Crew;
+
   /// Computes the end of the next window: min(target, Tmin + lookahead -
   /// 1ns), saturating; `target` when every queue is empty or there is no
   /// cross-shard coupling. Requires mailboxes drained (Tmin must see every
   /// deliverable frame).
   [[nodiscard]] TimePoint next_window(TimePoint target) const;
 
-  void run_until_serial(TimePoint target);
-  void run_until_parallel(TimePoint target);
-
   std::vector<Shard*> shards_;
   Options options_;
+  bool spins_ = false;
   std::uint64_t rounds_ = 0;
-
-  // Round state for the parallel path: written only by the barrier's
-  // serial completion, read by workers after the barrier -- the barrier's
-  // happens-before orders both.
-  TimePoint window_end_{};
-  TimePoint target_{};
-  bool done_ = false;
-  int phase_ = 0;
+  std::uint64_t inline_rounds_ = 0;
+  /// The current round's busy shards (an event at or before the window
+  /// end), in shard order. Kept across rounds to reuse its storage.
+  std::vector<Shard*> busy_;
 };
 
 }  // namespace ab::netsim

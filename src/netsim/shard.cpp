@@ -49,9 +49,9 @@ void ShardChannel::push(TimePoint deliver_at, util::ByteView wire) {
   frame.deliver_at = deliver_at;
   frame.wire.assign(wire.begin(), wire.end());
   if (!ring_.try_push(frame)) {
-    // Ring full mid-window: the consumer is parked at the barrier waiting
-    // for US, so blocking here would deadlock. Spill; the barrier's
-    // happens-before publishes the vector to the consumer.
+    // Ring full mid-window: the consumer drains only once this round ends,
+    // which waits for US, so blocking here would deadlock. Spill; the
+    // round hand-off's happens-before publishes the vector to the drain.
     spill_.push_back(std::move(frame));
     spilled_ += 1;
   }

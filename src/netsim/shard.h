@@ -1,7 +1,7 @@
 // Cross-shard frame transport for the sharded parallel simulation core.
 //
 // A sharded cell splits one topology into regions, each driven by its own
-// Scheduler on its own worker thread. A LAN whose bridges span two regions
+// Scheduler, one worker thread at a time. A LAN whose bridges span two regions
 // (a CUT segment) exists as one replica per region: the owning region's
 // replica carries the frame (stats, tap, serialization) and RELAYS the wire
 // bytes into a mailbox per consuming region; the consumer injects them into
@@ -12,11 +12,11 @@
 // consuming shard per ring, lock-free with acquire/release indices, the
 // same engine/backlog-queue shape as per-CPU packet processing engines.
 // The parallel runner's conservative windows mean a consumer only drains at
-// round boundaries, while every producer is parked at the same barrier; a
-// ring that fills mid-window therefore CANNOT wait for the consumer
-// (deadlock: the consumer is waiting for the producer to reach the
-// barrier), so overflow spills into a producer-owned vector that the
-// barrier's happens-before hands to the consumer safely.
+// round boundaries, after every producer finished the round; a ring that
+// fills mid-window therefore CANNOT wait for the consumer (deadlock: the
+// drain is waiting for the producer to finish its window), so overflow
+// spills into a producer-owned vector that the round hand-off's
+// happens-before passes to the consumer safely.
 //
 // Determinism: a shard drains its channels in registration order (the
 // builder registers them in (cut segment, producer region) order), each
@@ -89,7 +89,7 @@ class ShardChannel {
   /// Producer side (called from the owning replica's relay hook, on the
   /// producing shard's thread). Never blocks: a full ring spills into the
   /// producer-owned overflow vector, which the consumer may only read
-  /// after a synchronization point (the runner's round barrier).
+  /// after a synchronization point (the end of the runner's round).
   void push(TimePoint deliver_at, util::ByteView wire);
 
   /// Consumer side, at a sync point only: injects every queued frame into
@@ -104,7 +104,7 @@ class ShardChannel {
   LanSegment* target_;
   RelayRing ring_;
   /// Producer-owned overflow for full-ring pushes. Only touched by the
-  /// consumer inside drain(), which the runner orders after a barrier.
+  /// consumer inside drain(), which the runner orders after the round.
   std::vector<RelayFrame> spill_;
   std::uint64_t spilled_ = 0;  ///< total spilled frames (telemetry)
 };

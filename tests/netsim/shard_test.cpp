@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -246,6 +247,8 @@ TEST(ParallelRunner, ConservativeWindowsBoundEachRoundByLookahead) {
   // With Tmin stepping 10us per tick and a 10us lookahead, every window can
   // hold at most one tick, so at least 10 rounds were needed.
   EXPECT_GE(runner.rounds(), 10u);
+  // Only shard a ever has work, so every round ran inline.
+  EXPECT_EQ(runner.inline_rounds(), runner.rounds());
   EXPECT_EQ(a.now(), TimePoint(microseconds(100)));
   EXPECT_EQ(b.now(), TimePoint(microseconds(100)));
 
@@ -293,6 +296,7 @@ TEST(ParallelRunner, ThreadCountDoesNotChangeExecutionOrRoundStructure) {
   constexpr int kShards = 4;
   std::vector<std::vector<TimePoint>> reference;
   std::uint64_t reference_rounds = 0;
+  std::uint64_t reference_inline = 0;
 
   for (const int threads : {1, 2, 4, 8}) {
     SyntheticCell cell(kShards);
@@ -307,11 +311,143 @@ TEST(ParallelRunner, ThreadCountDoesNotChangeExecutionOrRoundStructure) {
     if (threads == 1) {
       reference = cell.traces;
       reference_rounds = runner.rounds();
+      reference_inline = runner.inline_rounds();
       ASSERT_EQ(reference[0].size(), 100u);  // 3us ticks through 300us
     } else {
       EXPECT_EQ(cell.traces, reference) << "threads=" << threads;
       EXPECT_EQ(runner.rounds(), reference_rounds) << "threads=" << threads;
+      EXPECT_EQ(runner.inline_rounds(), reference_inline) << "threads=" << threads;
     }
+  }
+}
+
+// Eight shards whose windows alternate between one busy shard and all of
+// them: shard 0 ticks every 10us, the others every 20us, and the 10us
+// lookahead makes each window [Tmin, Tmin + 10us) -- so a window starting
+// on an odd 10us mark holds shard 0's tick alone (an inline round) and one
+// starting on an even mark holds every shard's tick (a posted round). Each
+// tick also schedules a follow-up inside its own window, so a busy shard
+// runs more than one event per round. Thread counts cover the inline
+// runner, the spinning crew, the parking crew and more workers than the
+// machine has hardware threads (clamped to the shard count).
+struct AlternatingCell {
+  static constexpr int kShards = 8;
+  std::vector<std::unique_ptr<Network>> nets;
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::vector<TimePoint>> traces;
+
+  AlternatingCell() : traces(kShards) {
+    for (int k = 0; k < kShards; ++k) {
+      nets.push_back(std::make_unique<Network>());
+      shards.push_back(std::make_unique<Shard>(nets.back()->scheduler()));
+      arm(k, TimePoint(microseconds(k == 0 ? 10 : 20)));
+    }
+  }
+
+  void arm(int k, TimePoint at) {
+    if (at > TimePoint(milliseconds(1))) return;
+    Scheduler& sched = nets[static_cast<std::size_t>(k)]->scheduler();
+    auto& trace = traces[static_cast<std::size_t>(k)];
+    sched.schedule_at(at, [this, k, at, &sched, &trace] {
+      trace.push_back(at);
+      sched.schedule_at(at + microseconds(1 + k), [at, k, &trace] {
+        trace.push_back(at + microseconds(1 + k));
+      });
+      arm(k, at + microseconds(k == 0 ? 10 : 20));
+    });
+  }
+
+  [[nodiscard]] std::vector<Shard*> handles() {
+    std::vector<Shard*> out;
+    for (auto& s : shards) out.push_back(s.get());
+    return out;
+  }
+};
+
+TEST(ParallelRunner, AlternatingBusyWindowsMatchAtEveryThreadCount) {
+  const int oversubscribed = static_cast<int>(std::thread::hardware_concurrency()) + 1;
+  std::vector<std::vector<TimePoint>> reference;
+  std::uint64_t reference_rounds = 0;
+  std::uint64_t reference_inline = 0;
+
+  for (const int threads : {1, 2, 4, 8, oversubscribed}) {
+    AlternatingCell cell;
+    ParallelRunner runner(cell.handles(),
+                          {.threads = threads, .lookahead = microseconds(10)});
+    runner.run_until(TimePoint(milliseconds(1)));
+
+    for (const auto& net : cell.nets) {
+      EXPECT_EQ(net->now(), TimePoint(milliseconds(1))) << "threads=" << threads;
+    }
+    if (threads == 1) {
+      reference = cell.traces;
+      reference_rounds = runner.rounds();
+      reference_inline = runner.inline_rounds();
+      // 100 windows through 1ms: the 50 odd marks run shard 0 alone. The
+      // follow-up of the tick at exactly 1ms falls past the target.
+      ASSERT_EQ(reference[0].size(), 199u);
+      ASSERT_EQ(reference[1].size(), 99u);
+      EXPECT_EQ(reference_rounds, 100u);
+      EXPECT_EQ(reference_inline, 50u);
+      EXPECT_FALSE(runner.spins());
+    } else {
+      EXPECT_EQ(cell.traces, reference) << "threads=" << threads;
+      EXPECT_EQ(runner.rounds(), reference_rounds) << "threads=" << threads;
+      EXPECT_EQ(runner.inline_rounds(), reference_inline) << "threads=" << threads;
+      const int workers = std::min(threads, AlternatingCell::kShards);
+      EXPECT_EQ(runner.spins(),
+                static_cast<unsigned>(workers) < std::thread::hardware_concurrency())
+          << "threads=" << threads;
+    }
+  }
+}
+
+// run_until in 200 steps of 5us must land exactly where one call to the
+// same target does: each call posts, stops and joins its own crew, so this
+// drives the start/stop hand-off on every call.
+TEST(ParallelRunner, ManyShortCallsMatchOneLongCall) {
+  constexpr int kShards = 4;
+  SyntheticCell reference_cell(kShards);
+  ParallelRunner reference_runner(reference_cell.handles(),
+                                  {.threads = 1, .lookahead = microseconds(2)});
+  reference_runner.run_until(TimePoint(milliseconds(1)));
+
+  for (const int threads : {1, 2, 4}) {
+    SyntheticCell cell(kShards);
+    ParallelRunner runner(cell.handles(),
+                          {.threads = threads, .lookahead = microseconds(2)});
+    for (int step = 1; step <= 200; ++step) {
+      runner.run_until(TimePoint(microseconds(5) * step));
+      for (const auto& net : cell.nets) {
+        ASSERT_EQ(net->now(), TimePoint(microseconds(5) * step))
+            << "threads=" << threads << " step=" << step;
+      }
+    }
+    EXPECT_EQ(cell.traces, reference_cell.traces) << "threads=" << threads;
+    for (int k = 0; k < kShards; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      EXPECT_EQ(cell.nets[i]->scheduler().executed(),
+                reference_cell.nets[i]->scheduler().executed())
+          << "threads=" << threads << " shard=" << k;
+    }
+  }
+}
+
+// An exception from a shard's event reaches the run_until caller at every
+// thread count, and only once the round's other busy shards finished their
+// window. The throw lands in a window shards 0, 1 and 2 share.
+TEST(ParallelRunner, EventExceptionReachesTheCaller) {
+  for (const int threads : {1, 2, 4}) {
+    SyntheticCell cell(4);
+    cell.nets[2]->scheduler().schedule_at(TimePoint(microseconds(30)), [] {
+      throw std::runtime_error("event failed");
+    });
+    ParallelRunner runner(cell.handles(),
+                          {.threads = threads, .lookahead = microseconds(2)});
+    EXPECT_THROW(runner.run_until(TimePoint(milliseconds(1))), std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(cell.traces[0].back(), TimePoint(microseconds(30))) << "threads=" << threads;
+    EXPECT_EQ(cell.traces[1].back(), TimePoint(microseconds(30))) << "threads=" << threads;
   }
 }
 
